@@ -3,7 +3,7 @@
 A ``Tensor`` wraps a float64 ``numpy.ndarray`` together with a gradient
 buffer and a backward closure.  Building blocks are deliberately few:
 elementwise arithmetic with broadcasting, matmul, relu, exp/log/sqrt,
-abs, reductions, reshape, row gather and concatenation.  That is enough
+abs, reductions, reshape and row gather.  That is enough
 to express the whole hedging loss (policy network -> profit and loss ->
 risk measure) as one differentiable graph.
 
@@ -19,11 +19,9 @@ Conventions fixed here and asserted by tests:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = ["Tensor", "concat", "exp", "log", "sqrt", "relu", "mean", "tsum", "data_of"]
+__all__ = ["Tensor", "exp", "log", "sqrt", "relu", "mean", "tsum", "data_of"]
 
 
 def _as_array(x) -> np.ndarray:
@@ -276,26 +274,6 @@ class Tensor:
                 self._accumulate(buf)
 
         return Tensor._node(out_data, (self,), bw)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate tensors along ``axis``; splits the gradient back."""
-    datas = [p.data for p in parts]
-    out_data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(a, b)
-                p._accumulate(g[tuple(sl)])
-
-    return Tensor._node(out_data, tuple(parts), bw)
-
-
-# -- type-dispatching helpers: one formula, two execution paths --------------
 
 
 def data_of(x) -> np.ndarray:

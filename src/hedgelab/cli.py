@@ -2,10 +2,12 @@
 
 Subcommands: gen-paths, train, price, tune, stats, reproduce-table.
 Config is a YAML tree merged over built-in defaults, then over
-HEDGELAB__section__key environment overrides, then over CLI flags.
-Every run writes a manifest (resolved config, its hash, seed, versions)
-next to its outputs, and every CSV is written with repr floats so a
-rerun with the same config and seed is byte-identical.
+HEDGELAB__section__key environment overrides, then over CLI flags; every
+merge checks keys and leaf types, and the option, measure and simulator
+sections are then built into their typed parameters.  Only then does a
+run write its manifest (resolved config, its hash, seed, versions) next
+to its outputs, and every CSV is written with repr floats so a rerun with
+the same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
 """
@@ -19,6 +21,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -26,12 +29,13 @@ import yaml
 
 from . import __version__
 from .fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from .hedge_core import VolConfig, feature_width, features_matrix, pl_core
-from .instruments import OptionSpec, payoff_batch
+from .hedge_core import feature_width
+from .instruments import OptionSpec
 from .market_data import extract_windows, load_series, stylized_stats, write_stats_csv
-from .neuralnet import MlpPolicy, load_policy, save_policy, train, write_report_csv
+from .neuralnet import (MlpPolicy, load_policy, policy_price, save_policy,
+                        train, write_report_csv)
 from .paths_io import save_paths
-from .risk import RiskMeasure, indifference_price
+from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
 from .tuner import SearchSpace, StudyBudget, run_study
 
@@ -56,28 +60,69 @@ DEFAULT_CONFIG = {
     "measure": {"kind": "erm", "lam": 1.0, "alpha": 0.95},
     "train": {"paths": 1000, "epochs": 10, "lr": 1e-3, "minibatch": 256,
               "val_split": 0.2},
-    "eval": {"source": None, "n_paths": 1000, "window_days": None,
-             "stride": 1},
+    "eval": {"source": None, "n_paths": 1000, "stride": 1},
     "tune": {"trials": 20, "strategy": "tpe_like", "space": None,
              "n_paths": 1000, "epochs": 10, "eval_n_paths": 1000},
     "stats": {"n_paths": 1000, "max_lag": 20, "bin_width": 0.5},
     "checkpoint": None,
 }
 
+# the type a leaf whose default is null takes when it is set
+NULLABLE = {"market.order_ttl": int, "eval.source": str, "tune.space": str,
+            "checkpoint": str}
+
+# (flag, config key it sets, subcommands that take it)
+FLAGS = (("--seed", "seed", ("gen-paths", "train", "price", "tune", "stats",
+                             "reproduce-table")),
+         ("--paths", "train.paths", ("gen-paths", "train")),
+         ("--paths", "stats.n_paths", ("stats",)),
+         ("--epochs", "train.epochs", ("train",)),
+         ("--trials", "tune.trials", ("tune",)))
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
 
 # ---------------------------------------------------------------- config --
+
+def _check_leaf(key: str, value) -> None:
+    """Reject a value whose type differs from the default's at ``key``.
+
+    Numbers take int or float, int-valued defaults take only int, and
+    bool is never a number.
+    """
+    default = DEFAULT_CONFIG
+    for part in key.split("."):
+        default = default[part]
+    kind = NULLABLE.get(key, type(default))
+    if value is None and key in NULLABLE:
+        return
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        null = " or null" if key in NULLABLE else ""
+        raise ValueError(f"config key {key!r} expects {_TYPE_NAMES[kind]}"
+                         f"{null}, got {value!r}")
+
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> None:
     for key, value in override.items():
         here = f"{path}{key}"
         if key not in base:
-            raise ValueError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and base[key]:
+            what = "section" if isinstance(value, dict) else "key"
+            raise ValueError(f"unknown config {what} {here!r}")
+        if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {here!r} expects a mapping")
             _deep_merge(base[key], value, here + ".")
         else:
+            _check_leaf(here, value)
             base[key] = value
+
+
+def _nest(dotted: str, value) -> dict:
+    """{"a": {"b": value}} for the key "a.b"."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
 
 
 def _apply_env(cfg: dict, environ) -> None:
@@ -87,14 +132,11 @@ def _apply_env(cfg: dict, environ) -> None:
         parts = [p.lower() for p in name[len(ENV_PREFIX):].split("__") if p]
         if not parts:
             raise ValueError(f"malformed override variable {name!r}")
-        node = cfg
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ValueError(f"unknown config section {part!r} in {name}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ValueError(f"unknown config key {parts[-1]!r} in {name}")
-        node[parts[-1]] = yaml.safe_load(environ[name])
+        try:
+            _deep_merge(cfg, _nest(".".join(parts),
+                                   yaml.safe_load(environ[name])))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def load_config(path=None, environ=None) -> dict:
@@ -110,6 +152,36 @@ def load_config(path=None, environ=None) -> dict:
     if environ is not None:
         _apply_env(cfg, environ)
     return cfg
+
+
+def _build(cls, section: dict, name: str, **extra):
+    """``cls(**section)``, with a rejected value reported under ``name``."""
+    fields = {k: v for k, v in section.items() if not isinstance(v, dict)}
+    try:
+        return cls(**fields, **extra)
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from None
+
+
+def build_params(cfg: dict):
+    """Typed (option, measure, simulator params) of a merged config.
+
+    Every simulator section is built, used or not, so each one is
+    range-checked by its dataclass.
+    """
+    spec = _build(OptionSpec, cfg["option"], "option")
+    measure = _build(RiskMeasure, cfg["measure"], "measure")
+    n_steps = spec.maturity_days
+    sims = {"gbm": _build(GbmParams, cfg["gbm"], "gbm", n_steps=n_steps),
+            "heston": _build(HestonParams, cfg["heston"], "heston",
+                             n_steps=n_steps),
+            "market": (_build(MarketConfig, cfg["market"], "market",
+                              days=n_steps),
+                       _build(AgentPopulation, cfg["market"]["population"],
+                              "market.population"))}
+    if cfg["generator"] not in sims:
+        raise ValueError(f"unknown generator {cfg['generator']!r}")
+    return spec, measure, sims[cfg["generator"]]
 
 
 def config_hash(cfg: dict) -> str:
@@ -135,107 +207,55 @@ def _derive(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((int(seed),) + tags).generate_state(1)[0])
 
 
-# ------------------------------------------------------------- builders --
+# ---------------------------------------------------------------- paths --
 
-def build_option(cfg: dict) -> OptionSpec:
-    o = cfg["option"]
-    return OptionSpec(kind=o["kind"], strike=float(o["strike"]),
-                      maturity_days=int(o["maturity_days"]))
-
-
-def build_measure(cfg: dict) -> RiskMeasure:
-    m = cfg["measure"]
-    return RiskMeasure(kind=m["kind"], lam=float(m.get("lam", 1.0)),
-                       alpha=float(m.get("alpha", 0.95)))
-
-
-def generate_paths(cfg: dict, n_paths: int, seed: int, parallel: int = 1):
-    """Paths from the configured generator; returns (paths, info dict)."""
-    kind = cfg["generator"]
-    n_steps = int(cfg["option"]["maturity_days"])
-    if kind == "gbm":
-        g = cfg["gbm"]
-        params = GbmParams(mu=float(g["mu"]), sigma=float(g["sigma"]),
-                           n_steps=n_steps)
+def generate_paths(params, n_paths: int, seed: int, parallel: int = 1):
+    """Paths from typed simulator params: ``GbmParams``, ``HestonParams``
+    or a ``(MarketConfig, AgentPopulation)`` pair.  Returns (paths, info)."""
+    if isinstance(params, GbmParams):
         paths, regen = gbm_paths(params, n_paths, seed, return_regen_count=True)
         return paths, {"regenerated": regen}
-    if kind == "heston":
-        h = cfg["heston"]
-        params = HestonParams(kappa=float(h["kappa"]), theta=float(h["theta"]),
-                              v0=float(h["v0"]),
-                              vol_of_vol=float(h["vol_of_vol"]),
-                              rho=float(h["rho"]), n_steps=n_steps)
+    if isinstance(params, HestonParams):
         return heston_paths(params, n_paths, seed), {}
-    if kind == "market":
-        m = cfg["market"]
-        p = m["population"]
-        config = MarketConfig(
-            n_agents=int(m["n_agents"]),
-            agents_per_step=int(m["agents_per_step"]),
-            sigma_star=float(m["sigma_star"]), sigma=float(m["sigma"]),
-            preopen_steps=int(m["preopen_steps"]),
-            steps_per_day=int(m["steps_per_day"]), days=n_steps,
-            seed=seed, order_ttl=m["order_ttl"])
-        population = AgentPopulation(
-            w_f=float(p["w_f"]), w_c=float(p["w_c"]), w_n=float(p["w_n"]),
-            tau_star_min=int(p["tau_star_min"]),
-            tau_star_max=int(p["tau_star_max"]),
-            tau_min=int(p["tau_min"]), tau_max=int(p["tau_max"]),
-            k_min=float(p["k_min"]), k_max=float(p["k_max"]))
-        paths, rejected = simulate_paths(config, population, n_paths,
-                                         parallel=parallel)
-        return paths, {"rejected_sessions": rejected}
-    raise ValueError(f"unknown generator {kind!r}")
+    config, population = params
+    paths, rejected = simulate_paths(replace(config, seed=seed), population,
+                                     n_paths, parallel=parallel)
+    return paths, {"rejected_sessions": rejected}
 
 
-def evaluation_paths(cfg: dict, seed: int, parallel: int = 1):
+def evaluation_paths(cfg: dict, sim, seed: int, parallel: int = 1):
     """Eval set: windows of a user CSV when eval.source is set, else a
     fresh batch from the configured generator.  Returns (paths, label)."""
     ev = cfg["eval"]
-    n_days = int(cfg["option"]["maturity_days"])
     if ev["source"]:
         series = load_series(ev["source"])
-        window = ev["window_days"] or (n_days + 1)
-        if window != n_days + 1:
-            raise ValueError("eval.window_days must equal maturity_days + 1")
-        paths = extract_windows(series, window_days=window,
-                                stride=int(ev["stride"]))
+        paths = extract_windows(
+            series, window_days=cfg["option"]["maturity_days"] + 1,
+            stride=ev["stride"])
         if paths.shape[0] == 0:
             raise ValueError(f"{ev['source']}: not enough rows for one window")
         label = os.path.splitext(os.path.basename(ev["source"]))[0]
         return paths, label
-    paths, _ = generate_paths(cfg, int(ev["n_paths"]), seed, parallel)
+    paths, _ = generate_paths(sim, ev["n_paths"], seed, parallel)
     return paths, "synthetic"
 
 
-def _price_with_policy(policy, paths, spec, measure, cost_rate):
-    feats = features_matrix(paths, spec, VolConfig())
-    deltas = policy.forward_np(
-        feats.reshape(-1, feats.shape[2])).reshape(paths.shape[0], -1)
-    pl, _, _ = pl_core(paths, deltas, payoff_batch(spec, paths), cost_rate)
-    return float(indifference_price(pl, measure))
-
-
-def _train_policy(cfg, spec, measure, seed, parallel):
+def _train_policy(cfg, spec, measure, sim, seed, parallel):
     tr = cfg["train"]
-    paths, info = generate_paths(cfg, int(tr["paths"]), _derive(seed, 1),
-                                 parallel)
+    paths, _ = generate_paths(sim, tr["paths"], _derive(seed, 1), parallel)
     policy = MlpPolicy(feature_width(spec), seed=_derive(seed, 2))
-    policy, report = train(policy, paths, spec, measure,
-                           lr=float(tr["lr"]), epochs=int(tr["epochs"]),
-                           minibatch=int(tr["minibatch"]),
-                           seed=_derive(seed, 3),
-                           cost_rate=float(cfg["cost_rate"]),
-                           val_split=float(tr["val_split"]))
-    return policy, report, info
+    return train(policy, paths, spec, measure, lr=tr["lr"],
+                 epochs=tr["epochs"], minibatch=tr["minibatch"],
+                 seed=_derive(seed, 3), cost_rate=cfg["cost_rate"],
+                 val_split=tr["val_split"])
 
 
 # ---------------------------------------------------------- subcommands --
 
-def cmd_gen_paths(args, cfg, out_dir, seed) -> int:
-    n = args.paths or int(cfg["train"]["paths"])
-    paths, info = generate_paths(cfg, n, _derive(seed, 1), args.parallel)
-    meta = {"generator": cfg["generator"], "seed": seed,
+def cmd_gen_paths(args, cfg, spec, measure, sim, out_dir) -> int:
+    paths, info = generate_paths(sim, cfg["train"]["paths"],
+                                 _derive(cfg["seed"], 1), args.parallel)
+    meta = {"generator": cfg["generator"], "seed": cfg["seed"],
             "config_hash": config_hash(cfg), **info}
     save_paths(os.path.join(out_dir, "paths.csv"), paths, meta)
     print(f"wrote {paths.shape[0]} paths x {paths.shape[1]} samples "
@@ -243,14 +263,9 @@ def cmd_gen_paths(args, cfg, out_dir, seed) -> int:
     return 0
 
 
-def cmd_train(args, cfg, out_dir, seed) -> int:
-    spec = build_option(cfg)
-    measure = build_measure(cfg)
-    if args.paths:
-        cfg["train"]["paths"] = args.paths
-    if args.epochs is not None:
-        cfg["train"]["epochs"] = args.epochs
-    policy, report, _ = _train_policy(cfg, spec, measure, seed, args.parallel)
+def cmd_train(args, cfg, spec, measure, sim, out_dir) -> int:
+    policy, report = _train_policy(cfg, spec, measure, sim, cfg["seed"],
+                                   args.parallel)
     save_policy(policy, os.path.join(out_dir, "checkpoint.npz"),
                 config_hash=config_hash(cfg))
     write_report_csv(report, os.path.join(out_dir, "training_report.csv"))
@@ -261,18 +276,16 @@ def cmd_train(args, cfg, out_dir, seed) -> int:
     return 0
 
 
-def cmd_price(args, cfg, out_dir, seed) -> int:
-    spec = build_option(cfg)
-    measure = build_measure(cfg)
+def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
+    seed = cfg["seed"]
     if cfg["checkpoint"]:
-        policy, meta = load_policy(cfg["checkpoint"])
+        policy, _ = load_policy(cfg["checkpoint"])
         if policy.in_width != feature_width(spec):
             raise ValueError("checkpoint feature width does not match option")
     else:
-        policy, _, _ = _train_policy(cfg, spec, measure, seed, args.parallel)
-    paths, label = evaluation_paths(cfg, _derive(seed, 4), args.parallel)
-    price = _price_with_policy(policy, paths, spec, measure,
-                               float(cfg["cost_rate"]))
+        policy, _ = _train_policy(cfg, spec, measure, sim, seed, args.parallel)
+    paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
+    price = policy_price(policy, paths, spec, measure, cfg["cost_rate"])
     out_path = os.path.join(out_dir, "price.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write("derivative,dataset,measure,generator,price\n")
@@ -282,9 +295,7 @@ def cmd_price(args, cfg, out_dir, seed) -> int:
     return 0
 
 
-def cmd_tune(args, cfg, out_dir, seed) -> int:
-    spec = build_option(cfg)
-    measure = build_measure(cfg)
+def cmd_tune(args, cfg, spec, measure, sim, out_dir) -> int:
     tu = cfg["tune"]
     space_name = tu["space"] or cfg["generator"]
     factories = {"gbm": SearchSpace.gbm, "heston": SearchSpace.heston,
@@ -292,14 +303,13 @@ def cmd_tune(args, cfg, out_dir, seed) -> int:
     if space_name not in factories:
         raise ValueError(f"unknown search space {space_name!r}")
     space = factories[space_name]()
-    budget = StudyBudget(n_paths=int(tu["n_paths"]), epochs=int(tu["epochs"]),
-                         minibatch=int(cfg["train"]["minibatch"]),
-                         cost_rate=float(cfg["cost_rate"]),
-                         n_eval_paths=int(tu["eval_n_paths"]),
+    budget = StudyBudget(n_paths=tu["n_paths"], epochs=tu["epochs"],
+                         minibatch=cfg["train"]["minibatch"],
+                         cost_rate=cfg["cost_rate"],
+                         n_eval_paths=tu["eval_n_paths"],
                          market_parallel=args.parallel)
-    n_trials = args.trials or int(tu["trials"])
-    result = run_study(space, space_name, spec, measure, n_trials, budget,
-                       seed=seed, strategy=tu["strategy"],
+    result = run_study(space, space_name, spec, measure, tu["trials"], budget,
+                       seed=cfg["seed"], strategy=tu["strategy"],
                        ledger_path=os.path.join(out_dir, "ledger.csv"),
                        best_path=os.path.join(out_dir, "best.json"))
     print(f"best trial {result.best.trial_id} "
@@ -307,16 +317,16 @@ def cmd_tune(args, cfg, out_dir, seed) -> int:
     return 0
 
 
-def cmd_stats(args, cfg, out_dir, seed) -> int:
-    ev = cfg["eval"]
-    if ev["source"]:
-        paths, label = evaluation_paths(cfg, _derive(seed, 5), args.parallel)
+def cmd_stats(args, cfg, spec, measure, sim, out_dir) -> int:
+    seed = _derive(cfg["seed"], 5)
+    if cfg["eval"]["source"]:
+        paths, label = evaluation_paths(cfg, sim, seed, args.parallel)
     else:
-        n = args.paths or int(cfg["stats"]["n_paths"])
-        paths, _ = generate_paths(cfg, n, _derive(seed, 5), args.parallel)
+        paths, _ = generate_paths(sim, cfg["stats"]["n_paths"], seed,
+                                  args.parallel)
         label = cfg["generator"]
-    st = stylized_stats(paths, max_lag=int(cfg["stats"]["max_lag"]),
-                        bin_width=float(cfg["stats"]["bin_width"]))
+    st = stylized_stats(paths, max_lag=cfg["stats"]["max_lag"],
+                        bin_width=cfg["stats"]["bin_width"])
     write_stats_csv(st, os.path.join(out_dir, "kurtosis.csv"),
                     os.path.join(out_dir, "histogram.csv"))
     k1 = st.kurtosis_by_lag.get(1)
@@ -324,30 +334,29 @@ def cmd_stats(args, cfg, out_dir, seed) -> int:
     return 0
 
 
-def cmd_reproduce_table(args, cfg, out_dir, seed) -> int:
-    """Desk-scale sweep over the derivative x measure x dataset table."""
+def cmd_reproduce_table(args, cfg, base_spec, _measure, sim, out_dir) -> int:
+    """Desk-scale sweep over the derivative x measure x dataset table;
+    the configured option kind and measure are the sweep's to set."""
+    seed = cfg["seed"]
     measures = [RiskMeasure("erm", lam=1.0), RiskMeasure("erm", lam=10.0),
                 RiskMeasure("cvar", alpha=0.90), RiskMeasure("cvar", alpha=0.95),
                 RiskMeasure("cvar", alpha=0.99)]
     derivatives = ["european_call", "lookback_call"]
     eval_sets = []
     for i, label in enumerate(["development", "test"]):
-        paths, _ = generate_paths(cfg, int(cfg["eval"]["n_paths"]),
+        paths, _ = generate_paths(sim, cfg["eval"]["n_paths"],
                                   _derive(seed, 6 + i), args.parallel)
         eval_sets.append((label, paths))
     rows = []
     for d_idx, kind in enumerate(derivatives):
-        spec = OptionSpec(kind=kind, strike=float(cfg["option"]["strike"]),
-                          maturity_days=int(cfg["option"]["maturity_days"]))
-        sub = copy.deepcopy(cfg)
-        sub["option"]["kind"] = kind
+        spec = replace(base_spec, kind=kind)
         for m_idx, measure in enumerate(measures):
-            setting_seed = _derive(seed, 8, d_idx, m_idx)
-            policy, report, _ = _train_policy(sub, spec, measure,
-                                              setting_seed, args.parallel)
+            policy, _ = _train_policy(cfg, spec, measure, sim,
+                                      _derive(seed, 8, d_idx, m_idx),
+                                      args.parallel)
             for label, paths in eval_sets:
-                price = _price_with_policy(policy, paths, spec, measure,
-                                           float(cfg["cost_rate"]))
+                price = policy_price(policy, paths, spec, measure,
+                                     cfg["cost_rate"])
                 rows.append((kind, label, measure.label(),
                              cfg["generator"], price))
                 print(f"{kind:14s} {label:12s} {measure.label():18s} "
@@ -375,15 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                      ("reproduce-table", cmd_reproduce_table)]:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--paths", type=int, default=None,
-                       help="override path count")
-        p.add_argument("--epochs", type=int, default=None,
-                       help="override training epochs")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override tuning trial count")
+        for flag, key, commands in FLAGS:
+            if name in commands:
+                p.add_argument(flag, type=int, default=None,
+                               help=f"set config key {key}")
         p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for simulation")
         p.set_defaults(func=fn)
@@ -394,13 +399,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, environ=os.environ)
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
-        cfg["seed"] = seed
+        for flag, key, commands in FLAGS:
+            value = getattr(args, flag[2:], None)
+            if args.command in commands and value is not None:
+                _deep_merge(cfg, _nest(key, value))
+        spec, measure, sim = build_params(cfg)
         out_dir = args.out or cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
-        write_manifest(out_dir, cfg, args.command, seed)
-        return args.func(args, cfg, out_dir, seed)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+        write_manifest(out_dir, cfg, args.command, cfg["seed"])
+        return args.func(args, cfg, spec, measure, sim, out_dir)
+    except (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 1

@@ -189,6 +189,10 @@ def decide_order(agent: FcnAgent, book: Book, factors: tuple,
                  placed_at=book.step, expires_at=book.step + ttl)
 
 
+class DegenerateSessionError(RuntimeError):
+    """A session kept trading nothing through every reseed."""
+
+
 class SessionResult(NamedTuple):
     raw: np.ndarray     # opening price then one last-trade price per step
     n_trades: int       # traded volume incl. the uncross; 0 => degenerate
@@ -357,7 +361,8 @@ def _session_chunk(args):
                 break
             rejects += 1
         else:
-            raise RuntimeError(f"session {i}: no trades after 200 reseeds")
+            raise DegenerateSessionError(
+                f"session {i}: no trades after 200 reseeds")
         paths.append(res.raw)
     return lo, extract_paths(paths, config.days, config.steps_per_day), rejects
 

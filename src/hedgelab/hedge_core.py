@@ -150,8 +150,8 @@ def features(prefix: np.ndarray, spec: OptionSpec,
     return np.array(row)
 
 
-def feature_width(spec: OptionSpec, include_prev_delta: bool = False) -> int:
-    return (5 if spec.is_lookback else 4) + (1 if include_prev_delta else 0)
+def feature_width(spec: OptionSpec) -> int:
+    return 5 if spec.is_lookback else 4
 
 
 def features_matrix(paths: np.ndarray, spec: OptionSpec,

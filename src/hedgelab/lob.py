@@ -10,7 +10,6 @@ traded are skipped lazily when their bucket drains.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -232,12 +231,3 @@ def expire_orders(book: Book, now: int) -> None:
                 side.pop(i)
     book._expiry_floor = now + 1
 
-
-def write_fill_log(fills, path) -> None:
-    """CSV rows step,price,volume,buy_order_id,sell_order_id."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "price", "volume", "buy_order_id", "sell_order_id"])
-        for f in fills:
-            w.writerow([f.step, repr(float(f.price)), f.volume,
-                        f.buy_id, f.sell_id])

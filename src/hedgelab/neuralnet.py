@@ -7,28 +7,25 @@ collapses into a single matmul per layer.  The final layer starts at
 zero: epoch 0 is exactly the unhedged position, which keeps tail-based
 measures (CVaR) from thrashing during warm-up.
 
-The reverse-mode graph machinery lives in ``autodiff`` and is re-exported
-here as part of this module's surface.
+``policy_price`` is the one graph-free pricing pass (features -> policy
+-> PL -> indifference price), shared by training's validation and every
+caller that prices a trained policy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .autodiff import (Tensor, concat, data_of, exp, log, mean, relu, sqrt,
-                       tsum)
-from .hedge_core import VolConfig, features_matrix, pl_core
+from .autodiff import Tensor
+from .hedge_core import features_matrix, pl_core
 from .instruments import OptionSpec, payoff_batch
 from .risk import RiskMeasure, indifference_price, utility
 
-__all__ = ["Tensor", "concat", "data_of", "exp", "log", "mean", "relu",
-           "sqrt", "tsum", "MlpPolicy", "Adam", "TrainReport", "forward",
-           "gradients", "train", "save_policy", "load_policy",
-           "write_report_csv"]
+__all__ = ["MlpPolicy", "Adam", "TrainReport", "gradients", "policy_price",
+           "train", "save_policy", "load_policy", "write_report_csv"]
 
 HIDDEN_WIDTH = 32
 LN_EPS = 1e-5
@@ -115,11 +112,6 @@ class MlpPolicy:
             p.data = np.asarray(arr, dtype=float)
 
 
-def forward(policy: MlpPolicy, features: np.ndarray) -> np.ndarray:
-    """Position batch for a feature batch (no graph)."""
-    return policy.forward_np(np.asarray(features, dtype=float))
-
-
 def gradients(loss: Tensor, params) -> list:
     """Reverse-mode dloss/dp for each parameter; loss must be scalar."""
     for p in params:
@@ -177,37 +169,38 @@ class TrainReport:
     diagnostics: list = field(default_factory=list)
 
 
-def _policy_pl(policy, paths, feats, payoffs, cost_rate, build_graph):
-    n_steps = paths.shape[1] - 1
-    flat = feats.reshape(-1, feats.shape[2])
-    if build_graph:
-        deltas = policy(flat).reshape(paths.shape[0], n_steps)
-    else:
-        deltas = policy.forward_np(flat).reshape(paths.shape[0], n_steps)
-    pl, _, _ = pl_core(paths, deltas, payoffs, cost_rate)
-    return pl
+def policy_price(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
+                 measure: RiskMeasure, cost_rate: float = 0.0) -> float:
+    """Indifference price of ``spec`` hedged by ``policy`` over ``paths``,
+    evaluated without building a graph."""
+    feats = features_matrix(paths, spec)
+    deltas = policy.forward_np(
+        feats.reshape(-1, feats.shape[2])).reshape(paths.shape[0], -1)
+    pl, _, _ = pl_core(paths, deltas, payoff_batch(spec, paths), cost_rate)
+    return indifference_price(pl, measure)
 
 
 def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
           measure: RiskMeasure, lr: float, epochs: int,
           minibatch: int = 256, seed: int = 0, cost_rate: float = 0.0,
-          val_split: float = 0.2, vol_cfg: Optional[VolConfig] = None):
+          val_split: float = 0.2):
     """Minimize -u(PL) over paths with Adam; keep the best-epoch weights.
 
     Paths are split train/validation by index (last val_split fraction);
     every epoch reshuffles the training paths, and the objective tracked
     for model selection is the indifference price on the validation set
-    (lower means the book needs less premium, i.e. hedges better).  A
-    non-finite minibatch loss aborts the epoch and rolls parameters and
-    optimizer back to the last finite epoch.  Returns (policy, report)
-    with the best-epoch parameters installed.
+    (lower means the book needs less premium, i.e. hedges better).  An
+    epoch's training loss is the mean of its minibatch losses.  A
+    non-finite minibatch loss aborts the epoch, and a non-finite
+    validation price discards it; both roll parameters and optimizer back
+    to the last finite epoch.  Returns (policy, report) with the
+    best-epoch parameters installed.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[0] < 1 or paths.shape[1] < 2:
         raise ValueError("paths must be (n_paths, n_steps+1) with n_steps >= 1")
     if not (0.0 <= val_split < 1.0):
         raise ValueError("val_split must lie in [0, 1)")
-    vol_cfg = vol_cfg or VolConfig()
 
     n = paths.shape[0]
     n_val = int(round(val_split * n))
@@ -216,10 +209,8 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
     else:
         train_paths, val_paths = paths[:-n_val], paths[-n_val:]
 
-    feats_tr = features_matrix(train_paths, spec, vol_cfg)
-    feats_va = features_matrix(val_paths, spec, vol_cfg)
+    feats_tr = features_matrix(train_paths, spec)
     pay_tr = payoff_batch(spec, train_paths)
-    pay_va = payoff_batch(spec, val_paths)
 
     report = TrainReport()
     if epochs == 0:
@@ -236,50 +227,47 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
 
     for epoch in range(epochs):
         order = rng.permutation(n_tr)
-        aborted = False
+        losses = []
+        fault = ""
         for lo in range(0, n_tr, bs):
             idx = order[lo:lo + bs]
-            pl = _policy_pl(policy, train_paths[idx], feats_tr[idx],
-                            pay_tr[idx], cost_rate, build_graph=True)
+            # ``loss`` keeps this minibatch's graph alive until the next
+            # one is built; freeing it here instead lets the allocator
+            # hand the pages back and fault them in again every step
+            deltas = policy(feats_tr[idx].reshape(-1, feats_tr.shape[2]))
+            pl, _, _ = pl_core(train_paths[idx],
+                               deltas.reshape(idx.size, -1), pay_tr[idx],
+                               cost_rate)
             loss = -utility(pl, measure)
             if not np.isfinite(loss.data):
-                policy.set_state(finite_state)
-                opt.set_state(finite_opt)
-                report.diagnostics.append(
-                    f"epoch {epoch}: non-finite loss, rolled back")
-                aborted = True
+                fault = "loss"
                 break
             opt.zero_grad()
             loss.backward()
             opt.step()
-
-        if aborted:
-            report.val_prices.append(float("nan"))
-            report.train_losses.append(float("nan"))
-            continue
-
-        pl_tr = _policy_pl(policy, train_paths, feats_tr, pay_tr,
-                           cost_rate, build_graph=False)
-        pl_va = _policy_pl(policy, val_paths, feats_va, pay_va,
-                           cost_rate, build_graph=False)
-        train_loss = -utility(pl_tr, measure)
-        val_price = indifference_price(pl_va, measure)
-        if not (np.isfinite(train_loss) and np.isfinite(val_price)):
+            losses.append(float(loss.data))
+        del deltas, pl, loss  # the validation pass reuses the graph's memory
+        if not fault:
+            val_price = policy_price(policy, val_paths, spec, measure,
+                                     cost_rate)
+            if not np.isfinite(val_price):
+                fault = "evaluation"
+        if fault:
             policy.set_state(finite_state)
             opt.set_state(finite_opt)
             report.diagnostics.append(
-                f"epoch {epoch}: non-finite evaluation, rolled back")
+                f"epoch {epoch}: non-finite {fault}, rolled back")
             report.val_prices.append(float("nan"))
             report.train_losses.append(float("nan"))
             continue
 
-        report.val_prices.append(float(val_price))
-        report.train_losses.append(float(train_loss))
+        report.val_prices.append(val_price)
+        report.train_losses.append(float(np.mean(losses)))
         finite_state = policy.get_state()
         finite_opt = opt.get_state()
         if report.best_epoch < 0 or val_price < report.best_price:
             report.best_epoch = epoch
-            report.best_price = float(val_price)
+            report.best_price = val_price
             best_state = policy.get_state()
 
     policy.set_state(best_state)

@@ -132,8 +132,8 @@ def _qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
     return out
 
 
-def _qe_exp_moment(a_coef: float, m: np.ndarray, s2: np.ndarray,
-                   v_next_mask_src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _qe_exp_moment(a_coef: float, m: np.ndarray,
+                   s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[exp(a_coef * V')] per path for the branch each path used.
 
     Returns (moment, valid); invalid entries (outside the branch's domain,
@@ -218,7 +218,7 @@ def heston_paths(params: HestonParams, n_paths: int, seed: int,
         z = rng.standard_normal(n_paths)
         v_next = _qe_variance_step(v, m, s2, u)
 
-        moment, valid = _qe_exp_moment(a_coef, m, s2, v_next)
+        moment, valid = _qe_exp_moment(a_coef, m, s2)
         k0_star = -np.log(moment) - (k1 + 0.5 * k3) * v
         # outside the moment's domain fall back to the uncorrected drift
         if not valid.all():

@@ -30,12 +30,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from .hedge_core import VolConfig, feature_width, features_matrix, pl_core
-from .instruments import OptionSpec, payoff_batch
-from .neuralnet import MlpPolicy, train
-from .risk import RiskMeasure, indifference_price
-from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
+from .fcn_agents import AgentPopulation, DegenerateSessionError, MarketConfig
+from .hedge_core import feature_width
+from .instruments import OptionSpec
+from .neuralnet import MlpPolicy, policy_price, train
+from .risk import RiskMeasure
+from .stoch_models import GbmParams, HestonParams
 
 TPE_WARMUP = 20
 TPE_GOOD_FRACTION = 0.25
@@ -177,31 +177,31 @@ class StudyBudget:
 def trial_paths(generator: str, assignment: dict, spec: OptionSpec,
                 budget: StudyBudget, seed: int) -> np.ndarray:
     """Generate one trial's training paths from its simulator assignment."""
+    from .cli import generate_paths  # cli imports this module
     n_steps = spec.maturity_days
     if generator == "gbm":
         params = GbmParams(mu=assignment["mu"], sigma=assignment["sigma"],
                            n_steps=n_steps)
-        return gbm_paths(params, budget.n_paths, seed)
-    if generator == "heston":
+    elif generator == "heston":
         params = HestonParams.from_initial_vol(
             assignment["sigma_init"], kappa=assignment["kappa"],
             rho=assignment["rho"], n_steps=n_steps)
-        return heston_paths(params, budget.n_paths, seed)
-    if generator == "market":
-        config = MarketConfig(agents_per_step=assignment["n_agent_step"],
-                              sigma_star=assignment["sigma_star"],
-                              sigma=assignment["sigma"],
-                              days=n_steps, seed=int(seed))
-        population = AgentPopulation(
-            w_f=float(assignment["w_f"]), w_c=float(assignment["w_c"]),
-            tau_star_min=assignment["tau_star_min"],
-            tau_star_max=assignment["tau_star_max"],
-            tau_min=assignment["tau_min"], tau_max=assignment["tau_max"],
-            k_min=assignment["k_min"], k_max=assignment["k_max"])
-        paths, _ = simulate_paths(config, population, budget.n_paths,
-                                  parallel=budget.market_parallel)
-        return paths
-    raise ValueError(f"unknown generator {generator!r}")
+    elif generator == "market":
+        params = (MarketConfig(agents_per_step=assignment["n_agent_step"],
+                               sigma_star=assignment["sigma_star"],
+                               sigma=assignment["sigma"], days=n_steps),
+                  AgentPopulation(
+                      w_f=assignment["w_f"], w_c=assignment["w_c"],
+                      tau_star_min=assignment["tau_star_min"],
+                      tau_star_max=assignment["tau_star_max"],
+                      tau_min=assignment["tau_min"],
+                      tau_max=assignment["tau_max"],
+                      k_min=assignment["k_min"], k_max=assignment["k_max"]))
+    else:
+        raise ValueError(f"unknown generator {generator!r}")
+    paths, _ = generate_paths(params, budget.n_paths, seed,
+                              budget.market_parallel)
+    return paths
 
 
 def default_assignment(generator: str, lr: float = 1e-3) -> dict:
@@ -232,13 +232,7 @@ def evaluate_assignment(generator: str, assignment: dict, spec: OptionSpec,
                            cost_rate=budget.cost_rate)
     if report.best_epoch < 0:
         raise ArithmeticError("no finite training epoch")
-    vol_cfg = VolConfig()
-    feats = features_matrix(eval_paths, spec, vol_cfg)
-    deltas = policy.forward_np(
-        feats.reshape(-1, feats.shape[2])).reshape(eval_paths.shape[0], -1)
-    pl, _, _ = pl_core(eval_paths, deltas, payoff_batch(spec, eval_paths),
-                       budget.cost_rate)
-    price = float(indifference_price(pl, measure))
+    price = policy_price(policy, eval_paths, spec, measure, budget.cost_rate)
     if not math.isfinite(price):
         raise ArithmeticError("non-finite evaluation price")
     return price
@@ -311,8 +305,8 @@ def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
                 generator, assignment, spec, measure, budget, eval_paths,
                 (seed, idx))
             trial.status = "ok"
-        except RuntimeError:
-            trial.status = "degenerate"  # e.g. trade-free market sessions
+        except DegenerateSessionError:
+            trial.status = "degenerate"
             trial.objective = math.inf
         except (ArithmeticError, FloatingPointError, ValueError):
             trial.status = "failed"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hedgelab.autodiff import Tensor, concat, data_of, exp, log, mean, relu, sqrt, tsum
+from hedgelab.autodiff import Tensor, data_of, exp, log, mean, relu, sqrt, tsum
 
 
 def _fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -121,16 +121,6 @@ def test_take_rows_accumulates_duplicate_indices():
     picked = x.take_rows(np.array([0, 0, 2]))
     picked.sum().backward()
     np.testing.assert_array_equal(x.grad, [[2.0], [0.0], [1.0]])
-
-
-def test_concat_splits_gradient():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.ones((2, 3)), requires_grad=True)
-    out = concat([a, b], axis=1)
-    assert out.shape == (2, 5)
-    (out * np.arange(10.0).reshape(2, 5)).sum().backward()
-    np.testing.assert_allclose(a.grad, [[0.0, 1.0], [5.0, 6.0]])
-    np.testing.assert_allclose(b.grad, [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
 
 
 def test_backward_requires_scalar_root():

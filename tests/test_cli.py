@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from hedgelab.cli import (DEFAULT_CONFIG, config_hash, load_config, main)
+from hedgelab.neuralnet import load_policy
 from hedgelab.paths_io import load_paths
 
 
@@ -116,6 +117,61 @@ class TestMainErrors:
         rc = main(["gen-paths", "--config", str(tmp_path / "absent.yaml"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, env, tree, key", [
+        ("gen-paths", {"HEDGELAB__GBM": "5"}, None, "gbm"),
+        ("gen-paths", {"HEDGELAB__TRAIN__EPOCHS": "[1,2]"}, None,
+         "train.epochs"),
+        ("gen-paths", {"HEDGELAB__MARKET__POPULATION": "3"}, None,
+         "market.population"),
+        ("gen-paths", {}, {"option": {"strike": [1]}}, "option.strike"),
+        ("price", {}, {"measure": {"kind": "cvar", "alpha": None}},
+         "measure.alpha"),
+        ("gen-paths", {}, {"train": {"paths": True}}, "train.paths"),
+        ("gen-paths", {}, {"heston": {"rho": 2.0}}, "heston"),
+    ])
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, monkeypatch,
+                                              capsys, command, env, tree,
+                                              key):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if tree is not None:
+            argv += ["--config", str(_write_cfg(tmp_path, tree))]
+        assert main(argv) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_flag_of_another_subcommand_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+
+class TestFlagsInManifest:
+    def test_train_flags_match_checkpoint_hash(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--paths", "300", "--epochs", "1",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["paths"] == 300
+        assert manifest["config"]["train"]["epochs"] == 1
+        _, meta = load_policy(out / "checkpoint.npz")
+        assert manifest["config_hash"] == meta["config_hash"]
+
+    def test_gen_paths_records_path_count(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gen-paths", "--paths", "7", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["paths"] == 7
+
+    def test_stats_paths_sets_stats_count(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["stats", "--paths", "12", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["stats"]["n_paths"] == 12
+        assert manifest["config"]["train"]["paths"] == 1000
 
 
 class TestGenPaths:

@@ -123,7 +123,6 @@ def test_lookback_feature_is_running_max():
     assert row[4] == pytest.approx(1.2)
     assert feature_width(spec) == 5
     assert feature_width(OptionSpec(EUROPEAN_CALL)) == 4
-    assert feature_width(spec, include_prev_delta=True) == 6
 
 
 def test_features_require_time_left():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _reference import RefBook, make_order_stream
 from hedgelab.lob import (Book, Fill, Order, expire_orders, insert_order,
-                          uncross, write_fill_log)
+                          uncross)
 
 
 def _mk(oid, side, price, vol=1, placed=0, expires=10_000):
@@ -295,13 +295,3 @@ class TestStreamEquivalence:
         _, _, engine_fills, ref_fills = self._run_stream(600, seed=seed)
         assert [tuple(f) for f in engine_fills] == ref_fills
 
-
-def test_fill_log_round_trip(tmp_path):
-    fills = [Fill(0, 1.0, 1, 2, 3), Fill(5, 0.987654321, 2, 10, 11)]
-    path = tmp_path / "fills.csv"
-    write_fill_log(fills, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "step,price,volume,buy_order_id,sell_order_id"
-    assert lines[1] == "0,1.0,1,2,3"
-    assert lines[2] == "5,0.987654321,2,10,11"
-    assert float(lines[2].split(",")[1]) == 0.987654321

@@ -8,8 +8,8 @@ import pytest
 from hedgelab.autodiff import Tensor
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.neuralnet import (Adam, MlpPolicy, TrainReport, _layer_norm,
-                                forward, gradients, load_policy, save_policy,
-                                train, write_report_csv)
+                                gradients, load_policy, save_policy, train,
+                                write_report_csv)
 from hedgelab.risk import RiskMeasure, indifference_price
 
 ERM1 = RiskMeasure("erm", lam=1.0)
@@ -82,11 +82,13 @@ class TestMlpPolicy:
         with pytest.raises(ValueError):
             policy.set_state(bad)
 
-    def test_forward_helper(self):
+    def test_forward_np_rows_independent(self):
         policy = _randomized_policy()
         x = np.random.default_rng(1).normal(size=(9, 4))
-        np.testing.assert_array_equal(forward(policy, x),
-                                      policy.forward_np(x))
+        halves = np.concatenate([policy.forward_np(x[:4]),
+                                 policy.forward_np(x[4:])])
+        np.testing.assert_allclose(policy.forward_np(x), halves,
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_layer_norm_standardizes_rows():

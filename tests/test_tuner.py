@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hedgelab import fcn_agents, tuner
 from hedgelab.instruments import OptionSpec
 from hedgelab.risk import RiskMeasure
 from hedgelab.tuner import (LR_GRID, SearchSpace, StudyBudget, Trial,
@@ -284,3 +285,32 @@ class TestStudy:
         with pytest.raises(ValueError):
             run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=0,
                       budget=_tiny_budget())
+
+
+class TestTrialLabels:
+    def test_trade_free_sessions_are_degenerate(self, monkeypatch):
+        def no_trades(config, population, seed=None):
+            raw = np.ones(config.days * config.steps_per_day + 1)
+            return fcn_agents.SessionResult(raw, 0)
+
+        monkeypatch.setattr(fcn_agents, "run_session", no_trades)
+        budget = _tiny_budget(n_paths=2)
+        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
+                                 budget, seed=0)
+        res = run_study(SearchSpace.market(), "market", SPEC, ERM1,
+                        n_trials=1, budget=budget, eval_paths=eval_paths,
+                        seed=0)
+        assert res.trials[0].status == "degenerate"
+        assert res.trials[0].objective == math.inf
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def unimplemented(*args, **kwargs):
+            raise NotImplementedError("no such simulator")
+
+        budget = _tiny_budget()
+        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
+                                 budget, seed=0)
+        monkeypatch.setattr(tuner, "trial_paths", unimplemented)
+        with pytest.raises(NotImplementedError):
+            run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
+                      budget=budget, eval_paths=eval_paths, seed=0)
