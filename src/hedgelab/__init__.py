@@ -9,8 +9,7 @@ and training knobs, and check simulator output against stylized facts.
 __version__ = "0.1.0"
 
 from .autodiff import Tensor
-from .fcn_agents import (AgentPopulation, FcnAgent, MarketConfig,
-                         compute_factors, decide_order, extract_paths,
+from .fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                          run_session, simulate_paths)
 from .hedge_core import (HedgeOutcome, VolConfig, compute_pl,
                          compute_pl_batch, delta_hedge_baseline,

@@ -13,23 +13,26 @@ quoting around the fundamental), a single uncross, then days x
 steps_per_day continuous double-auction steps.  Sessions that never
 trade are rejected and reseeded by the batch runner.
 
-run_session is a flat, allocation-light loop: all random draws come
-from one per-session generator up front (agent parameters, fundamental
-walk, selection uniforms, noise matrix), the chart factor telescopes to
-one log difference, and order routing uses the book's fast path.
+run_session is the one agent model, a flat, allocation-light loop: all
+random draws come from one per-session generator up front (agent
+parameters, fundamental walk, selection slots, noise matrix), the chart
+factor telescopes to one log difference, every order goes through
+Book.submit, and expire_orders runs at the open and at every step.  The
+touch is read from the book's heap tops, which are always live orders.
+tests/_reference.py holds a naive session on the brute-force RefBook
+that must reproduce its output bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lob import Book, Order, expire_orders, uncross
+from .lob import Book, expire_orders, uncross
 
-DEFAULT_TTL = 200
 _INF = math.inf
 _EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
 
@@ -98,97 +101,6 @@ class MarketConfig:
         return self.order_ttl if self.order_ttl is not None else 2 * self.n_agents
 
 
-@dataclass
-class FcnAgent:
-    w_f: float
-    w_c: float
-    w_n: float
-    tau_star: int
-    tau: int
-    k: float
-    noise_std: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.w_f + self.w_c + self.w_n <= 0:
-            raise ValueError("degenerate weights")
-        if self.tau_star < 1 or self.tau < 1:
-            raise ValueError("time constants must be >= 1")
-        if not (0.0 <= self.k <= 1.0):
-            raise ValueError("margin must lie in [0, 1]")
-
-
-def build_agents(config: MarketConfig, population: AgentPopulation,
-                 rng: np.random.Generator) -> list:
-    """Draw a session's agent roster (per-agent constants and rng streams)."""
-    n = config.n_agents
-    tau_star = rng.integers(population.tau_star_min, population.tau_star_max + 1, n)
-    tau = rng.integers(population.tau_min, population.tau_max + 1, n)
-    margin = rng.uniform(population.k_min, population.k_max, n)
-    streams = rng.spawn(n)
-    return [FcnAgent(population.w_f, population.w_c, population.w_n,
-                     int(tau_star[i]), int(tau[i]), float(margin[i]),
-                     config.sigma, streams[i])
-            for i in range(n)]
-
-
-def compute_factors(agent: FcnAgent, price_history: Sequence[float],
-                    fundamental: float) -> tuple:
-    """(F, C, N) at the last observed price.
-
-    F = ln(fundamental / p) / tau_star; C is the mean one-step log return
-    over the agent's window (truncated to the available history, 0 when
-    only one price is known); N is drawn fresh from the agent's stream.
-    """
-    if len(price_history) < 1:
-        raise ValueError("price_history must hold at least one price")
-    p_t = price_history[-1]
-    f = math.log(fundamental / p_t) / agent.tau_star
-    window = min(agent.tau, len(price_history) - 1)
-    if window > 0:
-        c = math.log(p_t / price_history[-1 - window]) / window
-    else:
-        c = 0.0
-    n = float(agent.rng.normal(0.0, agent.noise_std))
-    return f, c, n
-
-
-def decide_order(agent: FcnAgent, book: Book, factors: tuple,
-                 ttl: int = DEFAULT_TTL) -> Optional[Order]:
-    """Turn factors into a one-unit limit order, or None when indifferent.
-
-    r_hat = weighted factor average; p_hat = p_t * exp(r_hat * tau).
-    Rising view: bid at p_hat*(1-k) capped at the best ask. Falling view:
-    ask at p_hat*(1+k) floored at the best bid.  The cap means an
-    aggressive order executes at the standing quote instead of through it.
-    """
-    f, c, n = factors
-    w_sum = agent.w_f + agent.w_c + agent.w_n
-    r_hat = (agent.w_f * f + agent.w_c * c + agent.w_n * n) / w_sum
-    if r_hat == 0.0:
-        return None
-    if r_hat * agent.tau > _EXP_CAP:  # absurd forecast: stand aside
-        return None
-    p_t = book.last_price
-    p_hat = p_t * math.exp(r_hat * agent.tau)
-    if r_hat > 0.0:
-        price = p_hat * (1.0 - agent.k)
-        cap = book.best_ask
-        if cap is not None and price > cap:
-            price = cap
-        side = "bid"
-    else:
-        price = p_hat * (1.0 + agent.k)
-        cap = book.best_bid
-        if cap is not None and price < cap:
-            price = cap
-        side = "ask"
-    if not (0.0 < price < math.inf):  # exp under/overflow: stand aside
-        return None
-    return Order(id=book.next_order_id(), side=side, price=price, volume=1,
-                 placed_at=book.step, expires_at=book.step + ttl)
-
-
 class DegenerateSessionError(RuntimeError):
     """A session kept trading nothing through every reseed."""
 
@@ -221,7 +133,11 @@ def run_session(config: MarketConfig, population: AgentPopulation,
               out=fund_logs[1:])
     pre_noise = (rng.normal(0.0, config.sigma, n_pre)
                  * (population.w_n / w_sum)).tolist()
-    sel_u = rng.random((n_main, n_per)).ravel().tolist()
+    # uniform draw without replacement within a step (partial
+    # Fisher-Yates): slot j swaps with slot j + floor(u * (n_agents - j))
+    slot = np.arange(n_per)
+    sel = (slot + (rng.random((n_main, n_per)) * (n_agents - slot))
+           .astype(np.int64)).ravel().tolist()
     noise = (rng.normal(0.0, config.sigma, (n_main, n_per))
              * (population.w_n / w_sum)).ravel().tolist()
 
@@ -235,7 +151,7 @@ def run_session(config: MarketConfig, population: AgentPopulation,
 
     book = Book(last_price=1.0)
     submit = book.submit
-    bids, asks = book.bids, book.asks
+    bids, asks = book.bid_heap, book.ask_heap  # tops are the live touch
     log, exp = math.log, math.exp
     n_trades = 0
 
@@ -292,11 +208,9 @@ def run_session(config: MarketConfig, population: AgentPopulation,
         flog = fund_l[t]
         h = n_pre + m + 1  # observations so far: preopen track + opening + steps
         for j in range(n_per):
-            u = sel_u[si]
+            ridx = sel[si]
             noise_n = noise[si]
             si += 1
-            # uniform draw without replacement within the step
-            ridx = j + int(u * (n_agents - j))
             a = pool[ridx]
             pool[ridx] = pool[j]
             pool[j] = a

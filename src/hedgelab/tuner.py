@@ -15,17 +15,20 @@ to split) fall back to uniform sampling.
 A study minimizes the indifference price of the trained policy on one
 fixed evaluation path set shared by every trial, so objectives are
 comparable.  The ledger is an append-only CSV; rerunning a study with an
-existing ledger resumes after the recorded trials.
+existing ledger resumes after the recorded trials.  The ledger's JSON
+sidecar (same filename + .json) records the study hash, and a ledger is
+resumed only by the study whose hash it records.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -274,6 +277,28 @@ def read_ledger(path, space: SearchSpace) -> list:
     return trials
 
 
+def study_hash(space: SearchSpace, generator: str, spec: OptionSpec,
+               measure: RiskMeasure, budget: StudyBudget,
+               eval_paths: np.ndarray, seed: int, strategy: str) -> str:
+    """Identity of a study's trial sequence and objectives.
+
+    Covers everything a trial's result depends on: the seed, the
+    generator and its evaluation paths, the option, the measure, the
+    budget (the worker count aside, which changes no output), the
+    strategy and the space.
+    """
+    budget_fields = asdict(budget)
+    del budget_fields["market_parallel"]
+    eval_digest = hashlib.sha256(
+        np.ascontiguousarray(eval_paths, dtype=float).tobytes()).hexdigest()
+    blob = json.dumps({"seed": seed, "generator": generator,
+                       "eval_paths": eval_digest, "option": asdict(spec),
+                       "measure": asdict(measure), "budget": budget_fields,
+                       "strategy": strategy, "grids": space.grids,
+                       "constraints": space.constraints}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
               measure: RiskMeasure, n_trials: int, budget: StudyBudget,
               eval_paths: Optional[np.ndarray] = None, seed: int = 0,
@@ -286,14 +311,30 @@ def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
     if eval_paths is None:
         eval_paths = default_eval_paths(generator, spec, budget, (seed, 0xE7A1))
     keys = space.keys()
+    digest = study_hash(space, generator, spec, measure, budget, eval_paths,
+                        seed, strategy)
 
     trials = []
     if ledger_path and os.path.exists(ledger_path):
         trials = read_ledger(ledger_path, space)
-    if ledger_path and not trials:
+    if trials:
+        try:
+            with open(str(ledger_path) + ".json") as fh:
+                recorded = json.load(fh).get("study_hash")
+        except FileNotFoundError:
+            recorded = None
+        if recorded != digest:
+            raise ValueError(f"ledger {ledger_path} belongs to study "
+                             f"{recorded}, not to this study {digest}; "
+                             f"resume it with the same settings or start "
+                             f"a new ledger")
+    elif ledger_path:
         with open(ledger_path, "w", newline="") as fh:
             csv.writer(fh).writerow(["trial_id", "status", "objective", "seed"]
                                     + keys)
+        with open(str(ledger_path) + ".json", "w") as fh:
+            json.dump({"study_hash": digest}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     for idx in range(len(trials), n_trials):
         ss = np.random.SeedSequence((seed, idx))

@@ -3,9 +3,24 @@
 The matcher keeps resting orders in an unordered dict and rescans it
 linearly for every decision, so it shares no data-structure assumptions
 with the engine; agreement on fill sequences is therefore meaningful.
+
+reference_session replays a market session on that matcher: the same
+draws and per-order price arithmetic as fcn_agents.run_session, none of
+its caching or book fast paths.  The agent object API (FcnAgent,
+build_agents, compute_factors, decide_order) states the FCN model one
+agent at a time; its tests pin the factor and order formulas.
 """
 
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
 import numpy as np
+
+from hedgelab.lob import Book, Order
+
+DEFAULT_TTL = 200
+EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
 
 
 class RefBook:
@@ -151,3 +166,184 @@ def make_order_stream(n_orders, seed, price_decimals=2, ttl_lo=5, ttl_hi=60):
     volumes = rng.integers(1, 4, n_orders)
     ttls = rng.integers(ttl_lo, ttl_hi + 1, n_orders)
     return prices, is_bid, volumes, ttls
+
+
+@dataclass
+class FcnAgent:
+    w_f: float
+    w_c: float
+    w_n: float
+    tau_star: int
+    tau: int
+    k: float
+    noise_std: float
+    rng: np.random.Generator
+
+    def __post_init__(self):
+        if self.w_f + self.w_c + self.w_n <= 0:
+            raise ValueError("degenerate weights")
+        if self.tau_star < 1 or self.tau < 1:
+            raise ValueError("time constants must be >= 1")
+        if not (0.0 <= self.k <= 1.0):
+            raise ValueError("margin must lie in [0, 1]")
+
+
+def build_agents(config, population, rng: np.random.Generator) -> list:
+    """Draw a session's agent roster (per-agent constants and rng streams)."""
+    n = config.n_agents
+    tau_star = rng.integers(population.tau_star_min, population.tau_star_max + 1, n)
+    tau = rng.integers(population.tau_min, population.tau_max + 1, n)
+    margin = rng.uniform(population.k_min, population.k_max, n)
+    streams = rng.spawn(n)
+    return [FcnAgent(population.w_f, population.w_c, population.w_n,
+                     int(tau_star[i]), int(tau[i]), float(margin[i]),
+                     config.sigma, streams[i])
+            for i in range(n)]
+
+
+def compute_factors(agent: FcnAgent, price_history: Sequence[float],
+                    fundamental: float) -> tuple:
+    """(F, C, N) at the last observed price.
+
+    F = ln(fundamental / p) / tau_star; C is the mean one-step log return
+    over the agent's window (truncated to the available history, 0 when
+    only one price is known); N is drawn fresh from the agent's stream.
+    """
+    if len(price_history) < 1:
+        raise ValueError("price_history must hold at least one price")
+    p_t = price_history[-1]
+    f = math.log(fundamental / p_t) / agent.tau_star
+    window = min(agent.tau, len(price_history) - 1)
+    if window > 0:
+        c = math.log(p_t / price_history[-1 - window]) / window
+    else:
+        c = 0.0
+    n = float(agent.rng.normal(0.0, agent.noise_std))
+    return f, c, n
+
+
+def decide_order(agent: FcnAgent, book: Book, factors: tuple,
+                 ttl: int = DEFAULT_TTL) -> Optional[Order]:
+    """Turn factors into a one-unit limit order, or None when indifferent.
+
+    r_hat = weighted factor average; p_hat = p_t * exp(r_hat * tau).
+    Rising view: bid at p_hat*(1-k) capped at the best ask. Falling view:
+    ask at p_hat*(1+k) floored at the best bid.  The cap means an
+    aggressive order executes at the standing quote instead of through it.
+    """
+    f, c, n = factors
+    w_sum = agent.w_f + agent.w_c + agent.w_n
+    r_hat = (agent.w_f * f + agent.w_c * c + agent.w_n * n) / w_sum
+    if r_hat == 0.0:
+        return None
+    if r_hat * agent.tau > EXP_CAP:  # absurd forecast: stand aside
+        return None
+    p_t = book.last_price
+    p_hat = p_t * math.exp(r_hat * agent.tau)
+    if r_hat > 0.0:
+        price = p_hat * (1.0 - agent.k)
+        cap = book.best_ask
+        if cap is not None and price > cap:
+            price = cap
+        side = "bid"
+    else:
+        price = p_hat * (1.0 + agent.k)
+        cap = book.best_bid
+        if cap is not None and price < cap:
+            price = cap
+        side = "ask"
+    if not (0.0 < price < math.inf):  # exp under/overflow: stand aside
+        return None
+    return Order(id=book.next_order_id(), side=side, price=price, volume=1,
+                 placed_at=book.step, expires_at=book.step + ttl)
+
+
+def reference_session(config, population, seed=None):
+    """run_session replayed naively on RefBook; returns (raw, n_trades).
+
+    The draws are taken in run_session's order and every price is
+    computed with its expression, so the outputs must agree bit for bit.
+    Agent selection uses the plain per-order Fisher-Yates step, the touch
+    and the last price come from RefBook, and every log is taken afresh.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    n_agents = config.n_agents
+    n_per = config.agents_per_step
+    n_pre = config.preopen_steps
+    n_main = config.days * config.steps_per_day
+    ttl = config.ttl
+    w_sum = population.w_f + population.w_c + population.w_n
+    tau_star = rng.integers(population.tau_star_min,
+                            population.tau_star_max + 1, n_agents)
+    tau = rng.integers(population.tau_min, population.tau_max + 1, n_agents)
+    k = rng.uniform(population.k_min, population.k_max, n_agents)
+    fund = np.empty(n_pre + n_main)
+    fund[0] = 0.0
+    np.cumsum(rng.normal(0.0, config.sigma_star, n_pre + n_main - 1),
+              out=fund[1:])
+    pre_noise = rng.normal(0.0, config.sigma, n_pre) * (population.w_n / w_sum)
+    sel_u = rng.random((n_main, n_per))
+    noise = (rng.normal(0.0, config.sigma, (n_main, n_per))
+             * (population.w_n / w_sum))
+    cc = population.w_c / w_sum
+
+    book = RefBook(last_price=1.0)
+    next_oid = 0
+
+    def place(is_bid, log_price, a, matching):
+        """Price at exp(log_price) shaded by the margin, capped at the
+        opposite touch; returns the traded volume."""
+        nonlocal next_oid
+        if is_bid:
+            if log_price > EXP_CAP:
+                return 0
+            price = math.exp(log_price) * (1.0 - float(k[a]))
+            touch = book._best(False)
+            if touch is not None and price > touch[0]:
+                price = touch[0]
+        else:
+            price = math.exp(log_price) * (1.0 + float(k[a]))
+            touch = book._best(True)
+            if touch is not None and price < touch[0]:
+                price = touch[0]
+        if not 0.0 < price < math.inf:
+            return 0
+        fills = book.insert(next_oid, is_bid, price, 1, ttl, matching)
+        next_oid += 1
+        return sum(f[2] for f in fills)
+
+    for t in range(n_pre):
+        a = t % n_agents
+        book.step = t
+        win = min(int(tau[a]), t)
+        c = cc * (fund[t] - fund[t - win]) / win if win else 0.0
+        r = c + pre_noise[t]
+        if r != 0.0:
+            place(r > 0.0, float(fund[t]) + r * int(tau[a]), a, False)
+
+    book.step = n_pre
+    book.expire(n_pre)
+    fills, _ = book.uncross()
+    n_trades = sum(f[2] for f in fills)
+
+    raw = [book.last_price]
+    hist = [float(x) for x in fund[:n_pre]] + [math.log(book.last_price)]
+    pool = list(range(n_agents))
+    for m in range(n_main):
+        t = n_pre + m
+        book.step = t
+        book.expire(t)
+        for j in range(n_per):
+            ridx = j + int(sel_u[m, j] * (n_agents - j))
+            pool[j], pool[ridx] = pool[ridx], pool[j]
+            a = pool[j]
+            lp = math.log(book.last_price)
+            win = min(int(tau[a]), len(hist))
+            f_coef = population.w_f / (w_sum * int(tau_star[a]))
+            r = (f_coef * (float(fund[t]) - lp)
+                 + cc * (lp - hist[-win]) / win + float(noise[m, j]))
+            if r != 0.0:
+                n_trades += place(r > 0.0, lp + r * int(tau[a]), a, True)
+        hist.append(math.log(book.last_price))
+        raw.append(book.last_price)
+    return np.array(raw), n_trades

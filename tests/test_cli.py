@@ -361,6 +361,24 @@ class TestTune:
         assert set(best) == {"trial_id", "objective", "status", "assignment"}
         assert best["status"] == "ok"
 
+    def test_resume_under_another_seed_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, {
+            "tune": {"n_paths": 40, "epochs": 1, "eval_n_paths": 40},
+            "train": {"minibatch": 64}})
+        out = tmp_path / "lt"
+        assert main(["tune", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0", "--trials", "2"]) == 0
+        recorded = json.loads((out / "ledger.csv.json").read_text())
+        ledger = (out / "ledger.csv").read_bytes()
+        capsys.readouterr()
+        rc = main(["tune", "--config", str(cfg), "--out", str(out),
+                   "--seed", "1", "--trials", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert recorded["study_hash"] in err
+        assert err.count("study ") == 2  # the ledger's hash and this one's
+        assert (out / "ledger.csv").read_bytes() == ledger
+
 
 class TestReproduceTable:
     def test_table_rows_and_determinism(self, tmp_path):

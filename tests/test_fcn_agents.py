@@ -1,16 +1,18 @@
 """FCN agents: factor math, order rules, session runner, path extraction."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hedgelab.fcn_agents import (AgentPopulation, FcnAgent, MarketConfig,
-                                 build_agents, compute_factors, decide_order,
-                                 extract_paths, run_session, simulate_paths)
+from _reference import (FcnAgent, build_agents, compute_factors,
+                        decide_order, reference_session)
+from hedgelab.fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
+                                 run_session, simulate_paths)
 from hedgelab.lob import Book, insert_order, Order
 
 
@@ -258,6 +260,41 @@ class TestRunSession:
         res = run_session(_tiny_config(), AgentPopulation(), seed=0)
         assert res.n_trades > 0
 
+    @given(n_agents=st.integers(2, 12), agents_per_step=st.integers(1, 6),
+           extra_preopen=st.integers(0, 10), steps_per_day=st.integers(1, 8),
+           days=st.integers(1, 3), order_ttl=st.one_of(st.none(),
+                                                       st.integers(1, 12)),
+           sigma=st.sampled_from([1e-4, 1e-3, 1e-2]),
+           w_f=st.sampled_from([0.0, 1.0, 3.0]),
+           w_c=st.sampled_from([0.0, 1.0, 3.0, 10.0]),
+           tau_max=st.integers(1, 30), k_max=st.sampled_from([0.0, 0.05, 0.2]),
+           seed=st.integers(0, 2**16))
+    # continuous-phase expiry: 27 trades, 46 orders expire after the open
+    @example(n_agents=10, agents_per_step=5, extra_preopen=0, steps_per_day=10,
+             days=2, order_ttl=3, sigma=1e-3, w_f=1.0, w_c=1.0, tau_max=20,
+             k_max=0.0, seed=0)
+    # trade-heavy chartists: 20 of 160 continuous orders trade
+    @example(n_agents=12, agents_per_step=10, extra_preopen=0, steps_per_day=8,
+             days=2, order_ttl=None, sigma=1e-3, w_f=1.0, w_c=10.0,
+             tau_max=10, k_max=0.0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_session(self, n_agents, agents_per_step,
+                                       extra_preopen, steps_per_day, days,
+                                       order_ttl, sigma, w_f, w_c, tau_max,
+                                       k_max, seed):
+        config = MarketConfig(n_agents=n_agents,
+                              agents_per_step=min(agents_per_step, n_agents),
+                              preopen_steps=n_agents + extra_preopen,
+                              steps_per_day=steps_per_day, days=days,
+                              sigma=sigma, order_ttl=order_ttl)
+        pop = AgentPopulation(w_f=w_f, w_c=w_c, tau_star_min=10,
+                              tau_star_max=50, tau_min=1, tau_max=tau_max,
+                              k_max=k_max)
+        res = run_session(config, pop, seed=seed)
+        raw, n_trades = reference_session(config, pop, seed=seed)
+        assert res.raw.tobytes() == raw.tobytes()
+        assert res.n_trades == n_trades
+
 
 class TestExtractPaths:
     def test_constant_series_normalizes_to_one(self):
@@ -311,6 +348,19 @@ class TestSimulatePaths:
         par, r2 = simulate_paths(config, pop, 5, parallel=2)
         assert np.array_equal(serial, par)
         assert r1 == r2
+
+    def test_paths_byte_identical_across_commits(self):
+        # digest of the criterion-7 market's first 20 sessions, recorded
+        # before the order book moved from sorted lists to heaps; any
+        # change to the draws, the price arithmetic or the matching order
+        # moves it
+        config = MarketConfig(agents_per_step=10, days=20, seed=0)
+        pop = AgentPopulation(w_c=3.0, tau_star_min=50, tau_star_max=150,
+                              tau_min=1, tau_max=10)
+        paths, rejected = simulate_paths(config, pop, 20)
+        assert rejected == 0
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == (
+            "ff11571b4cdd6d98cd4e2af90bab6a6da9bfde1075e647035305f91d0d6c41b3")
 
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):

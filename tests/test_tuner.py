@@ -243,6 +243,24 @@ class TestStudy:
                             strategy="random", ledger_path=ledger)
         assert len(resumed.trials) == 8
 
+    def test_ledger_of_another_study_refused(self, tmp_path):
+        budget = _tiny_budget()
+        space = SearchSpace.gbm()
+        ledger = tmp_path / "ledger.csv"
+        run_study(space, "gbm", SPEC, ERM1, n_trials=1, budget=budget,
+                  seed=2, strategy="random", ledger_path=ledger)
+        with pytest.raises(ValueError, match="belongs to study"):
+            run_study(space, "gbm", SPEC, RiskMeasure("cvar", alpha=0.9),
+                      n_trials=2, budget=budget, seed=2, strategy="random",
+                      ledger_path=ledger)
+        # a ledger that records no study hash cannot be checked, so it
+        # is not resumed either
+        (tmp_path / "ledger.csv.json").unlink()
+        with pytest.raises(ValueError, match="study None"):
+            run_study(space, "gbm", SPEC, ERM1, n_trials=2, budget=budget,
+                      seed=2, strategy="random", ledger_path=ledger)
+        assert len(read_ledger(ledger, space)) == 1
+
     def test_ledger_header_mismatch(self, tmp_path):
         bad = tmp_path / "ledger.csv"
         bad.write_text("trial,obj\n")
