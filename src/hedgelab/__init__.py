@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .autodiff import Tensor
 from .fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                          run_session, simulate_paths)
-from .hedge_core import (HedgeOutcome, VolConfig, compute_pl,
-                         compute_pl_batch, delta_hedge_baseline,
-                         delta_hedge_baseline_batch, feature_width,
-                         features, features_matrix, pl_core, realized_vol)
+from .hedge_core import (VolConfig, delta_hedge_baseline_batch, feature_width,
+                         features_matrix, pl_core)
 from .instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec, bs_delta,
                           bs_price, payoff, payoff_batch)
 from .lob import Book, Fill, Order, expire_orders, insert_order, uncross

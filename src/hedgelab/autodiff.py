@@ -1,18 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense numpy tensors.
 
 A ``Tensor`` wraps a float64 ``numpy.ndarray`` together with a gradient
-buffer and a backward closure.  Building blocks are deliberately few:
-elementwise arithmetic with broadcasting, matmul, relu, exp/log/sqrt,
-abs, reductions, reshape and row gather.  That is enough
-to express the whole hedging loss (policy network -> profit and loss ->
-risk measure) as one differentiable graph.
+buffer and a backward closure.  The engine carries the training loss
+from the policy's positions onward (profit and loss -> risk measure) as
+one differentiable graph; the policy network itself enters as a single
+node built by ``MlpPolicy.__call__``, whose backward is hand-derived and
+hands each parameter its gradient through ``_accumulate``.
 
-Module-level helpers (``exp``, ``log``, ``mean``, ...) dispatch on the
-argument type so the same formula can run on plain arrays (fast
-evaluation path) or on tensors (training path).
+Module-level helpers (``exp``, ``log``, ``mean``, ``data_of``) dispatch
+on the argument type so the same formula can run on plain arrays
+(pricing) or on tensors (training).
 
 Conventions fixed here and asserted by tests:
-  * relu'(0) = 0
   * d|x|/dx at 0 = 0  (sign(0) = 0)
   * ``backward()`` is only defined for scalar roots.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "exp", "log", "sqrt", "relu", "mean", "tsum", "data_of"]
+__all__ = ["Tensor", "exp", "log", "mean", "data_of"]
 
 
 def _as_array(x) -> np.ndarray:
@@ -100,12 +99,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
-
     # -- elementwise arithmetic (broadcasting) ------------------------------
 
     def __add__(self, other):
@@ -132,9 +125,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Tensor) else Tensor(-_as_array(other)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * o.data
@@ -149,21 +139,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / o.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / o.data, self.data.shape))
-            if o.requires_grad:
-                o._accumulate(_unbroadcast(-g * self.data / (o.data * o.data), o.data.shape))
-
-        return Tensor._node(out_data, (self, o), bw)
-
-    def __rtruediv__(self, other):
-        return Tensor(other) / self
-
     def __matmul__(self, other):
         o = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data @ o.data
@@ -176,9 +151,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self, o), bw)
 
-    def __rmatmul__(self, other):
-        return Tensor(other) @ self
-
     def __abs__(self):
         out_data = np.abs(self.data)
         sign = np.sign(self.data)  # sign(0) = 0: fixed subgradient at the kink
@@ -189,19 +161,7 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), bw)
 
-    def abs(self):
-        return self.__abs__()
-
     # -- nonlinearities ------------------------------------------------------
-
-    def relu(self):
-        mask = self.data > 0.0  # relu'(0) = 0
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * mask)
-
-        return Tensor._node(self.data * mask, (self,), bw)
 
     def exp(self):
         out_data = np.exp(self.data)
@@ -218,15 +178,6 @@ class Tensor:
                 self._accumulate(g / self.data)
 
         return Tensor._node(np.log(self.data), (self,), bw)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / out_data)
-
-        return Tensor._node(out_data, (self,), bw)
 
     # -- reductions and shape ops --------------------------------------------
 
@@ -289,17 +240,5 @@ def log(x):
     return x.log() if isinstance(x, Tensor) else np.log(x)
 
 
-def sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
-def relu(x):
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
-
-
 def mean(x, axis=None):
     return x.mean(axis=axis) if isinstance(x, Tensor) else _as_array(x).mean(axis=axis)
-
-
-def tsum(x, axis=None):
-    return x.sum(axis=axis) if isinstance(x, Tensor) else _as_array(x).sum(axis=axis)

@@ -4,10 +4,10 @@ Subcommands: gen-paths, train, price, tune, stats, reproduce-table.
 Config is a YAML tree merged over built-in defaults, then over
 HEDGELAB__section__key environment overrides, then over CLI flags; every
 merge checks keys and leaf types, and the option, measure and simulator
-sections are then built into their typed parameters.  Only then does a
-run write its manifest (resolved config, its hash, seed, versions) next
-to its outputs, and every CSV is written with repr floats so a rerun with
-the same config and seed is byte-identical.
+sections are then built into their typed parameters.  A run that
+completes writes its manifest (resolved config, its hash, seed, versions)
+next to its outputs, and every CSV is written with repr floats so a rerun
+with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
 """
@@ -406,8 +406,11 @@ def main(argv=None) -> int:
         spec, measure, sim = build_params(cfg)
         out_dir = args.out or cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
+        rc = args.func(args, cfg, spec, measure, sim, out_dir)
+        # only a run that succeeded may replace the directory's manifest:
+        # a refused tune resume leaves the ledger's own manifest in place
         write_manifest(out_dir, cfg, args.command, cfg["seed"])
-        return args.func(args, cfg, spec, measure, sim, out_dir)
+        return rc
     except (ValueError, KeyError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2

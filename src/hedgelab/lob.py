@@ -71,11 +71,6 @@ class Book:
         self._expiry_floor = 0
         self._dead = 0  # volume-0 entries still inside a heap
 
-    def next_order_id(self) -> int:
-        oid = self._next_id
-        self._next_id += 1
-        return oid
-
     @property
     def bids(self) -> list:
         """Live bid entries in priority order (a sorted copy)."""

@@ -7,6 +7,11 @@ collapses into a single matmul per layer.  The final layer starts at
 zero: epoch 0 is exactly the unhedged position, which keeps tail-based
 measures (CVaR) from thrashing during warm-up.
 
+The forward pass is written once, ``MlpPolicy._forward``.  Pricing calls
+it directly (``forward_np``); training calls it through ``__call__``,
+which adds one autodiff node whose backward is the hand-derived MLP
+gradient, so the rest of the loss (PL, risk measure) stays on the graph.
+
 ``policy_price`` is the one graph-free pricing pass (features -> policy
 -> PL -> indifference price), shared by training's validation and every
 caller that prices a trained policy.
@@ -30,13 +35,6 @@ __all__ = ["MlpPolicy", "Adam", "TrainReport", "gradients", "policy_price",
 HIDDEN_WIDTH = 32
 LN_EPS = 1e-5
 CHECKPOINT_VERSION = 1
-
-
-def _layer_norm(h: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = h.mean(axis=1, keepdims=True)
-    centered = h - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    return centered / (var + LN_EPS).sqrt() * gain + bias
 
 
 class MlpPolicy:
@@ -71,34 +69,93 @@ class MlpPolicy:
         self._layers.append((head_w, head_b))
         self.params += [head_w, head_b]
 
-    def __call__(self, x) -> Tensor:
-        """Graph-building forward pass; x is (batch, in_width)."""
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_width:
-            raise ValueError(
-                f"expected (batch, {self.in_width}) features, got {x.data.shape}")
-        h = x
-        for wt, bt, gain, bias in self._layers[:-1]:
-            h = _layer_norm(h @ wt + bt, gain, bias).relu()
-        head_w, head_b = self._layers[-1]
-        return (h @ head_w + head_b).reshape(-1)
+    def _forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Positions for a (batch, in_width) feature array.
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free twin of __call__ for evaluation loops."""
+        With ``cache`` it appends, per hidden block, the block's input,
+        the centered pre-activation, the row std, the normalized
+        activations and the ReLU mask, then the head's input: what
+        ``_backward`` needs.  Without it, each intermediate is rebound as
+        soon as the next exists and the biases are added in place, so a
+        large pricing batch holds at most three (batch, 32) float arrays
+        at a time.
+        """
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ValueError(
                 f"expected (batch, {self.in_width}) features, got {x.shape}")
+
+        def keep(*arrays):
+            if cache is not None:
+                cache.extend(arrays)
+
         h = x
         for wt, bt, gain, bias in self._layers[:-1]:
-            h = h @ wt.data + bt.data
-            mu = h.mean(axis=1, keepdims=True)
-            centered = h - mu
-            var = (centered * centered).mean(axis=1, keepdims=True)
-            h = centered / np.sqrt(var + LN_EPS) * gain.data + bias.data
-            h = np.maximum(h, 0.0)
+            keep(h)
+            h = h @ wt.data
+            h += bt.data
+            centered = h - h.mean(axis=1, keepdims=True)
+            sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True)
+                         + LN_EPS)
+            h = centered / sd
+            keep(centered, sd, h)
+            h = h * gain.data
+            h += bias.data
+            mask = h > 0.0  # relu'(0) = 0
+            h *= mask
+            keep(mask)
+        keep(h)
         head_w, head_b = self._layers[-1]
         return (h @ head_w.data + head_b.data).reshape(-1)
+
+    def _backward(self, g: np.ndarray, cache: list) -> list:
+        """Gradient of each parameter, in ``params`` order, given the
+        gradient ``g`` of the positions ``_forward`` cached.
+
+        Head, then 3 x (ReLU mask -> layer norm -> affine) in reverse.
+        Each step is the product or sum that reverse-mode differentiation
+        of the forward composed from elementary autodiff nodes performs,
+        in the same order (the centered activations collect their
+        division term before their two square terms), so the gradients
+        equal that graph's bit for bit.
+        """
+        inv_w = 1.0 / HIDDEN_WIDTH
+        head_w, _ = self._layers[-1]
+        g = g.reshape(-1, 1)
+        grads = [cache[-1].T @ g, g.sum(axis=0)]
+        g = g @ head_w.data.T
+        for k in (2, 1, 0):
+            wt, _, gain, _ = self._layers[k]
+            h, centered, sd, q, mask = cache[5 * k:5 * k + 5]
+            g = g * mask
+            d_gain = (g * q).sum(axis=0)
+            d_bias = g.sum(axis=0)
+            g = g * gain.data
+            d_sd = (-g * centered / (sd * sd)).sum(axis=1, keepdims=True)
+            # back through the sqrt and the variance's row mean
+            d_sq = d_sd * 0.5 / sd * inv_w
+            g = g / sd + d_sq * centered + d_sq * centered
+            # back through the centering: subtract the row mean
+            g = g + -g.sum(axis=1, keepdims=True) * inv_w
+            grads = [h.T @ g, g.sum(axis=0), d_gain, d_bias] + grads
+            if k:
+                g = g @ wt.data.T
+        return grads
+
+    def __call__(self, x: np.ndarray) -> Tensor:
+        """Positions as one graph node whose parents are the parameters;
+        x is (batch, in_width)."""
+        cache = []
+        out = self._forward(x, cache)
+
+        def backward(g):
+            for p, grad in zip(self.params, self._backward(g, cache)):
+                p._accumulate(grad)
+
+        return Tensor._node(out, tuple(self.params), backward)
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        """Positions for a (batch, in_width) array, without a graph."""
+        return self._forward(x)
 
     def get_state(self) -> list:
         return [p.data.copy() for p in self.params]

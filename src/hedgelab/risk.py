@@ -12,9 +12,9 @@ Cash invariance makes the indifference equation u(PL + p) = u(0) = 0
 solvable in closed form, p = -u(PL); ``indifference_price`` additionally
 verifies the defining equation numerically.
 
-Every function accepts either a plain ndarray (evaluation) or an
-``autodiff.Tensor`` (training), so the training loss literally reuses the
-pricing formulas.
+``erm``, ``cvar`` and ``utility`` accept either a plain ndarray (pricing)
+or an ``autodiff.Tensor`` (training), so the training loss literally
+reuses the pricing formulas; ``indifference_price`` prices sample values.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ def indifference_price(pl_samples, measure: RiskMeasure, verify: bool = True,
     raises if cash invariance was violated numerically.
     """
     pl = data_of(pl_samples)
-    u = utility(pl, measure)
-    price = -float(u if not isinstance(u, Tensor) else u.item())
+    price = -float(utility(pl, measure))
     if verify:
-        residual = float(data_of(utility(pl + price, measure)))
+        residual = float(utility(pl + price, measure))
         scale = max(1.0, abs(price))
         if abs(residual) > verify_tol * scale:
             raise ArithmeticError(

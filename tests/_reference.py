@@ -9,15 +9,30 @@ draws and per-order price arithmetic as fcn_agents.run_session, none of
 its caching or book fast paths.  The agent object API (FcnAgent,
 build_agents, compute_factors, decide_order) states the FCN model one
 agent at a time; its tests pin the factor and order formulas.
+
+The per-path hedge accounting (compute_pl, HedgeOutcome), the per-prefix
+features and realized_vol, and the single-path delta_hedge_baseline are
+the one-path-at-a-time statements that the batch routines of
+hedgelab.hedge_core are checked against.
+
+reference_policy_graph composes the policy from elementary autodiff
+nodes, one per operation (the engine's own plus relu, sqrt and div
+below); MlpPolicy.__call__'s hand-derived backward must reproduce its
+parameter gradients bit for bit.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from hedgelab.autodiff import Tensor, _unbroadcast
+from hedgelab.hedge_core import ANNUAL_DAYS, VolConfig, pl_core
+from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
 from hedgelab.lob import Book, Order
+from hedgelab.neuralnet import LN_EPS
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -222,6 +237,13 @@ def compute_factors(agent: FcnAgent, price_history: Sequence[float],
     return f, c, n
 
 
+def next_order_id(book: Book) -> int:
+    """Take the id ``book.submit`` would give its next order."""
+    oid = book._next_id
+    book._next_id = oid + 1
+    return oid
+
+
 def decide_order(agent: FcnAgent, book: Book, factors: tuple,
                  ttl: int = DEFAULT_TTL) -> Optional[Order]:
     """Turn factors into a one-unit limit order, or None when indifferent.
@@ -254,7 +276,7 @@ def decide_order(agent: FcnAgent, book: Book, factors: tuple,
         side = "ask"
     if not (0.0 < price < math.inf):  # exp under/overflow: stand aside
         return None
-    return Order(id=book.next_order_id(), side=side, price=price, volume=1,
+    return Order(id=next_order_id(book), side=side, price=price, volume=1,
                  placed_at=book.step, expires_at=book.step + ttl)
 
 
@@ -347,3 +369,164 @@ def reference_session(config, population, seed=None):
         hist.append(math.log(book.last_price))
         raw.append(book.last_price)
     return np.array(raw), n_trades
+
+
+# ------------------------------------------------------- hedge accounting --
+
+@dataclass(frozen=True)
+class HedgeOutcome:
+    """Per-path PL decomposition; ``pl = -payoff + trading_gain - cost`` exactly."""
+
+    payoff: float
+    trading_gain: float
+    cost: float
+    pl: float
+
+
+def compute_pl(path: np.ndarray, deltas: np.ndarray, spec: OptionSpec,
+               cost_rate: float = 0.0) -> HedgeOutcome:
+    """Hedge accounting for a single path; validates lengths."""
+    path = np.asarray(path, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if cost_rate < 0.0:
+        raise ValueError("cost_rate must be nonnegative")
+    if deltas.shape != (spec.maturity_days,):
+        raise ValueError(
+            f"expected {spec.maturity_days} positions, got shape {deltas.shape}"
+        )
+    pay = payoff_batch(spec, path[None, :])
+    pl, gain, cost = pl_core(path[None, :], deltas[None, :], pay, cost_rate)
+    return HedgeOutcome(payoff=float(pay[0]), trading_gain=float(gain[0]),
+                        cost=float(cost[0]), pl=float(pl[0]))
+
+
+def compute_pl_batch(paths: np.ndarray, deltas, spec: OptionSpec,
+                     cost_rate: float = 0.0):
+    """Batch PL; ``deltas`` may be a Tensor so the result stays differentiable."""
+    paths = np.asarray(paths, dtype=np.float64)
+    if cost_rate < 0.0:
+        raise ValueError("cost_rate must be nonnegative")
+    n = spec.maturity_days
+    dshape = deltas.shape
+    if paths.shape[1] != n + 1 or dshape[1] != n or dshape[0] != paths.shape[0]:
+        raise ValueError(
+            f"shape mismatch: paths {paths.shape}, deltas {dshape}, maturity {n}"
+        )
+    payoffs = payoff_batch(spec, paths)
+    pl, _, _ = pl_core(paths, deltas, payoffs, cost_rate)
+    return pl
+
+
+def write_outcomes_csv(path: str, outcomes: list) -> None:
+    """Outcome batch as CSV rows path_id,payoff,gain,cost,pl."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path_id", "payoff", "gain", "cost", "pl"])
+        for i, o in enumerate(outcomes):
+            w.writerow([i, repr(float(o.payoff)), repr(float(o.trading_gain)),
+                        repr(float(o.cost)), repr(float(o.pl))])
+
+
+def realized_vol(prefix: np.ndarray, cfg: VolConfig = VolConfig()) -> float:
+    """Annualized trailing vol of a price prefix, blended toward the prior.
+
+    Fewer than ``blend_min_returns`` log returns pull the estimate toward
+    ``cfg.prior`` proportionally; the result is floored at ``cfg.floor``.
+    """
+    prefix = np.asarray(prefix, dtype=np.float64)
+    n_ret = prefix.shape[0] - 1
+    if n_ret <= 0:
+        vol = cfg.prior
+    else:
+        r = np.diff(np.log(prefix))
+        vol = float(np.std(r)) * np.sqrt(ANNUAL_DAYS)
+        if n_ret < cfg.blend_min_returns:
+            w = n_ret / cfg.blend_min_returns
+            vol = w * vol + (1.0 - w) * cfg.prior
+    return max(vol, cfg.floor)
+
+
+def features(prefix: np.ndarray, spec: OptionSpec,
+             cfg: VolConfig = VolConfig()) -> np.ndarray:
+    """Feature row for the policy at step i given prices S_0..S_i.
+
+    Order: moneyness, time to maturity (years), trailing vol, BS delta,
+    plus running max moneyness for lookback contracts.
+    """
+    prefix = np.asarray(prefix, dtype=np.float64)
+    i = prefix.shape[0] - 1
+    n = spec.maturity_days
+    if i >= n:
+        raise ValueError("features are only defined before maturity (i < n)")
+    spot = float(prefix[-1])
+    tau = (n - i) / ANNUAL_DAYS
+    vol = realized_vol(prefix, cfg)
+    row = [spot / spec.strike, tau, vol, float(bs_delta(spot, spec.strike, vol, tau))]
+    if spec.is_lookback:
+        row.append(float(prefix.max()) / spec.strike)
+    return np.array(row)
+
+
+def delta_hedge_baseline(path: np.ndarray, spec: OptionSpec, vol: float) -> np.ndarray:
+    """Black-Scholes delta positions along a path at flat volatility ``vol``."""
+    path = np.asarray(path, dtype=np.float64)
+    n = spec.maturity_days
+    taus = (n - np.arange(n)) / ANNUAL_DAYS
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = bs_delta(float(path[i]), spec.strike, vol, taus[i])
+    return out
+
+
+# ------------------------------------------------------------ policy graph --
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0) with relu'(0) = 0."""
+    mask = x.data > 0.0
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g * mask)
+
+    return Tensor._node(x.data * mask, (x,), bw)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    out_data = np.sqrt(x.data)
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g * 0.5 / out_data)
+
+    return Tensor._node(out_data, (x,), bw)
+
+
+def div(a, b) -> Tensor:
+    """a / b for tensors or arrays, broadcasting."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
+                                       b.data.shape))
+
+    return Tensor._node(a.data / b.data, (a, b), bw)
+
+
+def layer_norm(h: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    mu = h.mean(axis=1, keepdims=True)
+    centered = h - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    return div(centered, sqrt(var + LN_EPS)) * gain + bias
+
+
+def reference_policy_graph(policy, x: np.ndarray) -> Tensor:
+    """The policy's positions for ``x`` as a graph of elementary nodes."""
+    h = Tensor(x)
+    for wt, bt, gain, bias in policy._layers[:-1]:
+        h = relu(layer_norm(h @ wt + bt, gain, bias))
+    head_w, head_b = policy._layers[-1]
+    return (h @ head_w + head_b).reshape(-1)

@@ -18,10 +18,9 @@ import yaml
 from _reference import RefBook, make_order_stream
 from hedgelab.cli import main
 from hedgelab.hedge_core import (VolConfig, delta_hedge_baseline_batch,
-                                 feature_width, features_matrix, payoff_batch,
-                                 pl_core)
+                                 feature_width, features_matrix, pl_core)
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from hedgelab.instruments import OptionSpec
+from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order, expire_orders, insert_order
 from hedgelab.market_data import lag_returns, raw_kurtosis
 from hedgelab.neuralnet import MlpPolicy, gradients, train

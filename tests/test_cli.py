@@ -378,6 +378,8 @@ class TestTune:
         assert recorded["study_hash"] in err
         assert err.count("study ") == 2  # the ledger's hash and this one's
         assert (out / "ledger.csv").read_bytes() == ledger
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 0
 
 
 class TestReproduceTable:

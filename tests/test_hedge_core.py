@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgelab.hedge_core import (VolConfig, compute_pl, compute_pl_batch,
-                                 delta_hedge_baseline,
-                                 delta_hedge_baseline_batch, feature_width,
-                                 features, features_matrix,
-                                 position_change_matrix, realized_vol,
-                                 write_outcomes_csv)
+from _reference import (compute_pl, compute_pl_batch, delta_hedge_baseline,
+                        features, realized_vol, write_outcomes_csv)
+from hedgelab.hedge_core import (VolConfig, delta_hedge_baseline_batch,
+                                 feature_width, features_matrix,
+                                 position_change_matrix)
 from hedgelab.instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec,
                                   bs_delta, payoff_batch)
 

@@ -4,13 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import layer_norm, reference_policy_graph
 from hedgelab.autodiff import Tensor
+from hedgelab.hedge_core import features_matrix, pl_core
 from hedgelab.instruments import OptionSpec, payoff_batch
-from hedgelab.neuralnet import (Adam, MlpPolicy, TrainReport, _layer_norm,
-                                gradients, load_policy, save_policy, train,
+from hedgelab.neuralnet import (Adam, MlpPolicy, TrainReport, gradients,
+                                load_policy, save_policy, train,
                                 write_report_csv)
-from hedgelab.risk import RiskMeasure, indifference_price
+from hedgelab.risk import RiskMeasure, indifference_price, utility
 
 ERM1 = RiskMeasure("erm", lam=1.0)
 
@@ -96,7 +100,7 @@ def test_layer_norm_standardizes_rows():
     h = Tensor(rng.normal(0.0, 3.0, (40, 32)))
     gain = Tensor(np.ones(32))
     bias = Tensor(np.zeros(32))
-    out = _layer_norm(h, gain, bias).data
+    out = layer_norm(h, gain, bias).data
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
 
@@ -129,6 +133,64 @@ def test_policy_gradients_match_finite_differences():
             fd = (up - dn) / (2 * h)
             assert g.reshape(-1)[idx] == pytest.approx(fd, rel=1e-4,
                                                        abs=1e-8)
+
+
+def _hedge_loss(forward, paths, spec, measure, cost_rate):
+    feats = features_matrix(paths, spec)
+    deltas = forward(feats.reshape(-1, feats.shape[2]))
+    pl, _, _ = pl_core(paths, deltas.reshape(paths.shape[0], -1),
+                       payoff_batch(spec, paths), cost_rate)
+    return -utility(pl, measure)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 31 - 1), lookback=st.booleans(),
+       batch=st.sampled_from([1, 2, 9]), use_cvar=st.booleans(),
+       cost_rate=st.sampled_from([0.0, 0.004]),
+       dead_unit=st.sampled_from([None, 0, 1, 2]))
+def test_policy_node_gradients_equal_reference_graph(
+        seed, lookback, batch, use_cvar, cost_rate, dead_unit):
+    spec = OptionSpec("lookback_call" if lookback else "european_call",
+                      maturity_days=5)
+    measure = (RiskMeasure("cvar", alpha=0.7) if use_cvar
+               else RiskMeasure("erm", lam=3.0))
+    policy = MlpPolicy(5 if lookback else 4, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    state = [p + rng.normal(0.0, 0.3, p.shape) for p in policy.get_state()]
+    if dead_unit is not None:
+        # gain = bias = 0 pins unit 7 of that block at exactly 0 before
+        # the ReLU in every row, where relu'(0) = 0 must hold
+        state[4 * dead_unit + 2][7] = 0.0
+        state[4 * dead_unit + 3][7] = 0.0
+    policy.set_state(state)
+    paths = _gbm_like_paths(batch, steps=5, seed=seed % 997)
+
+    fused = gradients(_hedge_loss(policy, paths, spec, measure, cost_rate),
+                      policy.params)
+    graph = gradients(_hedge_loss(lambda x: reference_policy_graph(policy, x),
+                                  paths, spec, measure, cost_rate),
+                      policy.params)
+    for a, b in zip(fused, graph):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dead_unit is not None:
+        assert fused[4 * dead_unit + 2][7] == 0.0
+        assert fused[4 * dead_unit + 3][7] == 0.0
+
+
+def test_train_on_reference_graph_is_byte_identical(monkeypatch):
+    paths = _gbm_like_paths(50, seed=11)
+    spec = OptionSpec("european_call", maturity_days=8)
+    measure = RiskMeasure("cvar", alpha=0.8)
+
+    def run():
+        policy, report = train(MlpPolicy(4, seed=5), paths, spec, measure,
+                               lr=1e-2, epochs=2, minibatch=8, seed=2,
+                               cost_rate=0.002)
+        return [p.tobytes() for p in policy.get_state()], report
+
+    fused = run()
+    monkeypatch.setattr(MlpPolicy, "__call__", reference_policy_graph)
+    assert run() == fused
 
 
 class TestAdam:
