@@ -8,9 +8,10 @@ zero: epoch 0 is exactly the unhedged position, which keeps tail-based
 measures (CVaR) from thrashing during warm-up.
 
 The forward pass is written once, ``MlpPolicy._forward``.  Pricing calls
-it directly (``forward_np``); training calls it through ``__call__``,
-which adds one autodiff node whose backward is the hand-derived MLP
-gradient, so the rest of the loss (PL, risk measure) stays on the graph.
+it over fixed row blocks (``forward_np``); training calls it through
+``__call__``, which adds one autodiff node whose backward is the
+hand-derived MLP gradient, so the rest of the loss (PL, risk measure)
+stays on the graph.
 
 ``policy_price`` is the one graph-free pricing pass (features -> policy
 -> PL -> indifference price), shared by training's validation and every
@@ -34,6 +35,14 @@ __all__ = ["MlpPolicy", "Adam", "TrainReport", "gradients", "policy_price",
 
 HIDDEN_WIDTH = 32
 LN_EPS = 1e-5
+# Rows per ``forward_np`` block.  A block's (rows, 32) float64
+# intermediates (256 KiB each) stay in a 2 MiB L2 cache, where a whole
+# pricing batch's do not.  On a 2-vCPU Xeon at one BLAS thread, 60 000
+# rows took 69 ms in 1024-row blocks, 72-74 ms in 512- or 2048-row
+# blocks, 104 ms in 4096-row blocks and 129 ms unblocked.  A multiple of
+# 8, so every block starts on the row boundaries of BLAS's unrolled
+# kernels, as in one unblocked call.
+FORWARD_BLOCK_ROWS = 1024
 CHECKPOINT_VERSION = 1
 
 
@@ -76,8 +85,8 @@ class MlpPolicy:
         the centered pre-activation, the row std, the normalized
         activations and the ReLU mask, then the head's input: what
         ``_backward`` needs.  Without it, each intermediate is rebound as
-        soon as the next exists and the biases are added in place, so a
-        large pricing batch holds at most three (batch, 32) float arrays
+        soon as the next exists and the biases are added in place, so one
+        ``forward_np`` block holds at most three (block, 32) float arrays
         at a time.
         """
         if x.ndim != 2 or x.shape[1] != self.in_width:
@@ -154,8 +163,27 @@ class MlpPolicy:
         return Tensor._node(out, tuple(self.params), backward)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Positions for a (batch, in_width) array, without a graph."""
-        return self._forward(x)
+        """Positions for a (batch, in_width) array, without a graph.
+
+        Rows are independent, so ``_forward`` runs over blocks of
+        ``FORWARD_BLOCK_ROWS`` rows, each written into one preallocated
+        output.  A single row left after the last full block joins that
+        block instead: numpy multiplies a one-row matrix with a
+        matrix-vector kernel, which sums in another order than the
+        matrix-matrix kernel of a longer block.  With BLAS at one thread
+        the bits therefore equal one unblocked ``_forward`` call's.
+        """
+        if x.ndim != 2 or x.shape[1] != self.in_width:
+            raise ValueError(
+                f"expected (batch, {self.in_width}) features, got {x.shape}")
+        n, b = x.shape[0], FORWARD_BLOCK_ROWS
+        out = np.empty(n)
+        lo = 0
+        while lo < n:
+            hi = lo + b if n - lo > b + 1 else n
+            out[lo:hi] = self._forward(x[lo:hi])
+            lo = hi
+        return out
 
     def get_state(self) -> list:
         return [p.data.copy() for p in self.params]

@@ -1,6 +1,11 @@
 """Policy network, optimizer, and training-loop behavior."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import layer_norm, reference_policy_graph
+import hedgelab
 from hedgelab.autodiff import Tensor
 from hedgelab.hedge_core import features_matrix, pl_core
 from hedgelab.instruments import OptionSpec, payoff_batch
-from hedgelab.neuralnet import (Adam, MlpPolicy, TrainReport, gradients,
+from hedgelab.neuralnet import (FORWARD_BLOCK_ROWS, HIDDEN_WIDTH, Adam,
+                                MlpPolicy, TrainReport, gradients,
                                 load_policy, save_policy, train,
                                 write_report_csv)
 from hedgelab.risk import RiskMeasure, indifference_price, utility
@@ -93,6 +100,69 @@ class TestMlpPolicy:
                                  policy.forward_np(x[4:])])
         np.testing.assert_allclose(policy.forward_np(x), halves,
                                    rtol=1e-12, atol=1e-15)
+
+
+# Prices each case with the blocked ``forward_np`` and with one
+# unblocked ``_forward`` call and saves both to the npz named by argv[1].
+_BLOCKED_FORWARD_CASES = """
+import sys
+import numpy as np
+from hedgelab.neuralnet import FORWARD_BLOCK_ROWS as B, MlpPolicy
+
+arrays = {}
+for width in (4, 5):
+    policy = MlpPolicy(width, seed=width)
+    rng = np.random.default_rng(width)
+    policy.set_state([p + rng.normal(0.0, 0.5, p.shape)
+                      for p in policy.get_state()])
+    # a batch below one block, then three blocks and a remainder
+    for rows in [B // 3 + 1] + [3 * B + r for r in (0, 1, 3, 8, B - 1)]:
+        x = rng.normal(size=(rows, width))
+        arrays[f"{width}_{rows}_blocked"] = policy.forward_np(x)
+        arrays[f"{width}_{rows}_whole"] = policy._forward(x)
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+class TestBlockedForward:
+    def test_blocks_equal_one_unblocked_pass(self, tmp_path):
+        # OpenBLAS splits rows between its threads at points that depend
+        # on the thread count, and rows past a split can round
+        # differently, so only a one-thread BLAS fixes the reference bits
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
+        out = tmp_path / "forward.npz"
+        subprocess.run([sys.executable, "-c", _BLOCKED_FORWARD_CASES,
+                        str(out)], env=env, check=True, timeout=120)
+        with np.load(out) as blob:
+            cases = sorted(k[:-len("_blocked")] for k in blob.files
+                           if k.endswith("_blocked"))
+            assert len(cases) == 12
+            for case in cases:
+                blocked, whole = blob[case + "_blocked"], blob[case + "_whole"]
+                assert np.array_equal(blocked, whole), case
+                assert np.unique(whole).size > whole.size // 2
+
+    def test_wrong_width_raises_before_any_block(self):
+        policy = MlpPolicy(4)
+        for x in (np.zeros((FORWARD_BLOCK_ROWS + 1, 5)), np.zeros((0, 5)),
+                  np.zeros(4)):
+            with pytest.raises(ValueError,
+                               match=r"expected \(batch, 4\) features"):
+                policy.forward_np(x)
+
+    def test_memory_is_one_block_deep(self):
+        policy = _randomized_policy()
+        x = np.random.default_rng(3).normal(size=(50 * FORWARD_BLOCK_ROWS, 4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = policy.forward_np(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_array = FORWARD_BLOCK_ROWS * HIDDEN_WIDTH * 8
+        assert peak <= out.nbytes + 8 * block_array
 
 
 def test_layer_norm_standardizes_rows():
