@@ -40,10 +40,11 @@ from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
 from .tuner import SearchSpace, StudyBudget, run_study
 
 ENV_PREFIX = "HEDGELAB__"
+# where a run writes without --out; not a config key, so not in manifests
+DEFAULT_OUT = "out"
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "out": "out",
     "cost_rate": 0.0,
     "generator": "gbm",
     "gbm": {"mu": 0.0, "sigma": 0.2},
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("reproduce-table", cmd_reproduce_table)]:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=DEFAULT_OUT, help="output directory")
         for flag, key, commands in FLAGS:
             if name in commands:
                 p.add_argument(flag, type=int, default=None,
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
             if args.command in commands and value is not None:
                 _deep_merge(cfg, _nest(key, value))
         spec, measure, sim = build_params(cfg)
-        out_dir = args.out or cfg["out"]
+        out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         rc = args.func(args, cfg, spec, measure, sim, out_dir)
         # only a run that succeeded may replace the directory's manifest:

@@ -11,7 +11,10 @@ The forward pass is written once, ``MlpPolicy._forward``.  Pricing calls
 it over fixed row blocks (``forward_np``); training calls it through
 ``__call__``, which adds one autodiff node whose backward is the
 hand-derived MLP gradient, so the rest of the loss (PL, risk measure)
-stays on the graph.
+stays on the graph.  That backward works only on the rows whose
+position gradient is non-zero (under CVaR, the tail paths' rows) and
+keeps its matrix products at the full batch shape, so its bits equal a
+dense pass's.
 
 ``policy_price`` is the one graph-free pricing pass (features -> policy
 -> PL -> indifference price), shared by training's validation and every
@@ -126,15 +129,33 @@ class MlpPolicy:
         in the same order (the centered activations collect their
         division term before their two square terms), so the gradients
         equal that graph's bit for bit.
+
+        A row whose position gradient is zero stays zero through every
+        block, so the elementwise steps, row sums and axis-0 sums run on
+        the non-zero rows only (under CVaR, the tail paths' rows).  A
+        zero row adds only signed zeros, and numpy's sums start from +0,
+        so the sums keep their bits.  (A non-finite activation in a zero
+        row would have made them NaN; it reaches the head's input, so
+        the dense head gradient is NaN either way.)  The matrix products
+        do not keep their bits: OpenBLAS picks its kernel by shape, so
+        they keep the full ``(n, .)`` shape, on the gathered rows
+        scattered into zeros, and the head stays dense.  When every row
+        is non-zero nothing is gathered.
         """
         inv_w = 1.0 / HIDDEN_WIDTH
         head_w, _ = self._layers[-1]
         g = g.reshape(-1, 1)
+        n = g.shape[0]
         grads = [cache[-1].T @ g, g.sum(axis=0)]
-        g = g @ head_w.data.T
+        nonzero = np.flatnonzero(g)
+        sparse = nonzero.size < n
+        rows = nonzero if sparse else slice(None)
+        g = (g @ head_w.data.T)[rows]
         for k in (2, 1, 0):
             wt, _, gain, _ = self._layers[k]
-            h, centered, sd, q, mask = cache[5 * k:5 * k + 5]
+            h = cache[5 * k]
+            centered, sd, q, mask = (a[rows]
+                                     for a in cache[5 * k + 1:5 * k + 5])
             g = g * mask
             d_gain = (g * q).sum(axis=0)
             d_bias = g.sum(axis=0)
@@ -145,9 +166,13 @@ class MlpPolicy:
             g = g / sd + d_sq * centered + d_sq * centered
             # back through the centering: subtract the row mean
             g = g + -g.sum(axis=1, keepdims=True) * inv_w
-            grads = [h.T @ g, g.sum(axis=0), d_gain, d_bias] + grads
+            full = g
+            if sparse:
+                full = np.zeros((n, HIDDEN_WIDTH))
+                full[rows] = g
+            grads = [h.T @ full, g.sum(axis=0), d_gain, d_bias] + grads
             if k:
-                g = g @ wt.data.T
+                g = (full @ wt.data.T)[rows]
         return grads
 
     def __call__(self, x: np.ndarray) -> Tensor:

@@ -129,6 +129,9 @@ class TestMainErrors:
          "measure.alpha"),
         ("gen-paths", {}, {"train": {"paths": True}}, "train.paths"),
         ("gen-paths", {}, {"heston": {"rho": 2.0}}, "heston"),
+        # the output directory is --out alone, never a config key
+        ("gen-paths", {}, {"out": "elsewhere"}, "out"),
+        ("gen-paths", {"HEDGELAB__OUT": "elsewhere"}, None, "out"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, monkeypatch,
                                               capsys, command, env, tree,

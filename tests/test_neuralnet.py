@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import layer_norm, reference_policy_graph
@@ -213,17 +213,42 @@ def _hedge_loss(forward, paths, spec, measure, cost_rate):
     return -utility(pl, measure)
 
 
-@settings(max_examples=40)
+def _flatten(paths, flat):
+    """Paths whose price does not move at some steps, so the gain's
+    gradient is zero in those rows: one step of every path ("step"),
+    every step but the last ("but_last") or every step ("all")."""
+    paths = paths.copy()
+    if flat == "step":
+        paths[:, 3] = paths[:, 2]
+    elif flat == "but_last":
+        paths[:, 1:-1] = paths[:, :1]
+    elif flat == "all":
+        paths[:] = paths[:, :1]
+    return paths
+
+
+# at-most-one-non-zero-row and all-zero cases: a one-path CVaR tail on
+# paths that move only at their last step, and on flat paths; ERM with
+# lambda large enough that exp underflows to 0 for all but the worst paths
+@example(seed=1, lookback=False, batch=2, use_cvar=True, cost_rate=0.0,
+         dead_unit=None, flat="but_last", lam=3.0)
+@example(seed=2, lookback=True, batch=9, use_cvar=True, cost_rate=0.0,
+         dead_unit=0, flat="all", lam=3.0)
+@example(seed=3, lookback=False, batch=9, use_cvar=False, cost_rate=0.0,
+         dead_unit=None, flat=None, lam=1e5)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 31 - 1), lookback=st.booleans(),
        batch=st.sampled_from([1, 2, 9]), use_cvar=st.booleans(),
        cost_rate=st.sampled_from([0.0, 0.004]),
-       dead_unit=st.sampled_from([None, 0, 1, 2]))
+       dead_unit=st.sampled_from([None, 0, 1, 2]),
+       flat=st.sampled_from([None, "step", "but_last", "all"]),
+       lam=st.sampled_from([3.0, 1e5]))
 def test_policy_node_gradients_equal_reference_graph(
-        seed, lookback, batch, use_cvar, cost_rate, dead_unit):
+        seed, lookback, batch, use_cvar, cost_rate, dead_unit, flat, lam):
     spec = OptionSpec("lookback_call" if lookback else "european_call",
                       maturity_days=5)
     measure = (RiskMeasure("cvar", alpha=0.7) if use_cvar
-               else RiskMeasure("erm", lam=3.0))
+               else RiskMeasure("erm", lam=lam))
     policy = MlpPolicy(5 if lookback else 4, seed=seed % 1000)
     rng = np.random.default_rng(seed)
     state = [p + rng.normal(0.0, 0.3, p.shape) for p in policy.get_state()]
@@ -233,7 +258,7 @@ def test_policy_node_gradients_equal_reference_graph(
         state[4 * dead_unit + 2][7] = 0.0
         state[4 * dead_unit + 3][7] = 0.0
     policy.set_state(state)
-    paths = _gbm_like_paths(batch, steps=5, seed=seed % 997)
+    paths = _flatten(_gbm_like_paths(batch, steps=5, seed=seed % 997), flat)
 
     fused = gradients(_hedge_loss(policy, paths, spec, measure, cost_rate),
                       policy.params)
@@ -245,6 +270,63 @@ def test_policy_node_gradients_equal_reference_graph(
     if dead_unit is not None:
         assert fused[4 * dead_unit + 2][7] == 0.0
         assert fused[4 * dead_unit + 3][7] == 0.0
+
+
+# Gradients at the benchmark's minibatch shape (256 paths x 20 steps),
+# from the policy node and from the reference graph, saved to the npz
+# named by argv[1].  Rows past a few dozen reach OpenBLAS's large-shape
+# kernels, which the hypothesis test above never does.
+_MINIBATCH_GRADIENT_CASES = """
+import sys
+import numpy as np
+from _reference import reference_policy_graph
+from hedgelab.instruments import OptionSpec
+from hedgelab.neuralnet import MlpPolicy, gradients
+from hedgelab.risk import RiskMeasure
+from test_neuralnet import _gbm_like_paths, _hedge_loss
+
+cvar = RiskMeasure("cvar", alpha=0.95)
+cases = [(w, cvar, c) for w in (4, 5) for c in (0.0, 0.002)]
+cases.append((4, RiskMeasure("erm", lam=1.0), 0.002))
+arrays = {}
+for i, (width, measure, cost_rate) in enumerate(cases):
+    paths = _gbm_like_paths(256, steps=20, seed=i)
+    spec = OptionSpec("lookback_call" if width == 5 else "european_call",
+                      maturity_days=20)
+    policy = MlpPolicy(width, seed=i)
+    rng = np.random.default_rng(i)
+    policy.set_state([p + rng.normal(0.0, 0.3, p.shape)
+                      for p in policy.get_state()])
+    fused = gradients(_hedge_loss(policy, paths, spec, measure, cost_rate),
+                      policy.params)
+    graph = gradients(_hedge_loss(lambda x: reference_policy_graph(policy, x),
+                                  paths, spec, measure, cost_rate),
+                      policy.params)
+    for j, (a, b) in enumerate(zip(fused, graph)):
+        arrays[f"{i}_{j}_fused"], arrays[f"{i}_{j}_graph"] = a, b
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def test_minibatch_gradients_equal_reference_graph(tmp_path):
+    # one BLAS thread fixes the reference bits (see TestBlockedForward)
+    tests_dir = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(hedgelab.__file__).parents[1]),
+                    str(tests_dir)]))
+    out = tmp_path / "gradients.npz"
+    subprocess.run([sys.executable, "-c", _MINIBATCH_GRADIENT_CASES,
+                    str(out)], env=env, check=True, timeout=300)
+    with np.load(out) as blob:
+        names = sorted(k[:-len("_fused")] for k in blob.files
+                       if k.endswith("_fused"))
+        assert len(names) == 5 * 14
+        for name in names:
+            fused, graph = blob[name + "_fused"], blob[name + "_graph"]
+            assert fused.shape == graph.shape
+            assert fused.tobytes() == graph.tobytes(), name
+            assert np.any(fused != 0.0), name
 
 
 def test_train_on_reference_graph_is_byte_identical(monkeypatch):
