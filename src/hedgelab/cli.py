@@ -82,8 +82,29 @@ FLAGS = (("--seed", "seed", ("gen-paths", "train", "price", "tune", "stats",
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
+_COUNT = (lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+# config key -> (test, the range it accepts), checked by build_params
+RANGES = {"seed": _NONNEGATIVE, "cost_rate": _NONNEGATIVE,
+          "train.paths": _COUNT, "train.epochs": _NONNEGATIVE,
+          "train.lr": _POSITIVE, "train.minibatch": _COUNT,
+          "train.val_split": (lambda v: 0 <= v < 1, "in [0, 1)"),
+          "eval.n_paths": _COUNT, "eval.stride": _COUNT,
+          "tune.trials": _COUNT, "tune.n_paths": _COUNT,
+          "tune.epochs": _NONNEGATIVE, "tune.eval_n_paths": _COUNT,
+          "stats.n_paths": _COUNT, "stats.max_lag": _COUNT,
+          "stats.bin_width": _POSITIVE}
+
 
 # ---------------------------------------------------------------- config --
+
+def _lookup(tree: dict, key: str):
+    """``tree["a"]["b"]`` for the key "a.b"."""
+    for part in key.split("."):
+        tree = tree[part]
+    return tree
+
 
 def _check_leaf(key: str, value) -> None:
     """Reject a value whose type differs from the default's at ``key``.
@@ -91,10 +112,7 @@ def _check_leaf(key: str, value) -> None:
     Numbers take int or float, int-valued defaults take only int, and
     bool is never a number.
     """
-    default = DEFAULT_CONFIG
-    for part in key.split("."):
-        default = default[part]
-    kind = NULLABLE.get(key, type(default))
+    kind = NULLABLE.get(key, type(_lookup(DEFAULT_CONFIG, key)))
     if value is None and key in NULLABLE:
         return
     accepted = (int, float) if kind is float else kind
@@ -168,8 +186,14 @@ def build_params(cfg: dict):
     """Typed (option, measure, simulator params) of a merged config.
 
     Every simulator section is built, used or not, so each one is
-    range-checked by its dataclass.
+    range-checked by its dataclass; the run sizes in ``RANGES`` are
+    checked here.
     """
+    for key, (accepts, bounds) in RANGES.items():
+        value = _lookup(cfg, key)
+        if not accepts(value):
+            raise ValueError(f"config key {key!r} must be {bounds}, "
+                             f"got {value!r}")
     spec = _build(OptionSpec, cfg["option"], "option")
     measure = _build(RiskMeasure, cfg["measure"], "measure")
     n_steps = spec.maturity_days
@@ -404,6 +428,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:], None)
             if args.command in commands and value is not None:
                 _deep_merge(cfg, _nest(key, value))
+        if args.parallel < 1:
+            raise ValueError(f"option '--parallel' must be >= 1, "
+                             f"got {args.parallel}")
         spec, measure, sim = build_params(cfg)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)

@@ -9,6 +9,12 @@ risk-free rate is zero throughout, so
     d2 = d1 - vol * sqrt(tau)
     price = S * N(d1) - K * N(d2)
     delta = N(d1)
+
+N is ``scipy.special.ndtr``, imported inside ``bs_price`` and ``bs_delta``:
+loading ``scipy.special`` costs about a quarter of a second and 20 MiB
+of RSS on a 2-vCPU host, and a process that never prices an option or
+builds policy features (``gen-paths`` and ``stats`` on GBM or on the
+agent market) never pays for it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 EUROPEAN_CALL = "european_call"
 LOOKBACK_CALL = "lookback_call"
@@ -80,6 +85,7 @@ def bs_price(spot, strike, vol, tau_years):
 
     tau_years = 0 collapses to intrinsic value.  spot = 0 is worth 0.
     """
+    from scipy.special import ndtr
     spot = np.asarray(spot, dtype=np.float64)
     scalar = spot.ndim == 0
     spot = np.atleast_1d(spot)
@@ -100,6 +106,7 @@ def bs_delta(spot, strike, vol, tau_years):
     At tau_years = 0 the delta degenerates to the exercise indicator
     (1 in the money, 0 out, 0.5 at the strike).
     """
+    from scipy.special import ndtr
     spot = np.asarray(spot, dtype=np.float64)
     scalar = spot.ndim == 0
     spot = np.atleast_1d(spot)

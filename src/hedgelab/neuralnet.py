@@ -311,6 +311,8 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
         raise ValueError("paths must be (n_paths, n_steps+1) with n_steps >= 1")
     if not (0.0 <= val_split < 1.0):
         raise ValueError("val_split must lie in [0, 1)")
+    if minibatch < 1:
+        raise ValueError("minibatch must be >= 1")
 
     n = paths.shape[0]
     n_val = int(round(val_split * n))
@@ -329,7 +331,7 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
     opt = Adam(policy.params, lr)
     rng = np.random.default_rng(seed)
     n_tr = train_paths.shape[0]
-    bs = max(1, min(minibatch, n_tr))
+    bs = min(minibatch, n_tr)
 
     best_state = policy.get_state()
     finite_state = policy.get_state()

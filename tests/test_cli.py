@@ -1,11 +1,16 @@
 """Config plumbing and end-to-end subcommand runs at toy budgets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hedgelab
 from hedgelab.cli import (DEFAULT_CONFIG, config_hash, load_config, main)
 from hedgelab.neuralnet import load_policy
 from hedgelab.paths_io import load_paths
@@ -132,6 +137,25 @@ class TestMainErrors:
         # the output directory is --out alone, never a config key
         ("gen-paths", {}, {"out": "elsewhere"}, "out"),
         ("gen-paths", {"HEDGELAB__OUT": "elsewhere"}, None, "out"),
+        # run sizes are range-checked before anything runs
+        ("train", {}, {"train": {"minibatch": 0}}, "train.minibatch"),
+        ("train", {}, {"train": {"lr": -0.1}}, "train.lr"),
+        ("train", {}, {"train": {"epochs": -1}}, "train.epochs"),
+        ("train", {}, {"train": {"val_split": 1.0}}, "train.val_split"),
+        ("gen-paths", {}, {"train": {"paths": 0}}, "train.paths"),
+        ("gen-paths", {"HEDGELAB__SEED": "-1"}, None, "seed"),
+        ("price", {}, {"cost_rate": -0.5}, "cost_rate"),
+        ("price", {}, {"eval": {"n_paths": 0}}, "eval.n_paths"),
+        ("price", {}, {"eval": {"stride": 0}}, "eval.stride"),
+        ("tune", {}, {"tune": {"trials": 0}}, "tune.trials"),
+        ("tune", {}, {"tune": {"n_paths": 0}}, "tune.n_paths"),
+        ("tune", {}, {"tune": {"epochs": -1}}, "tune.epochs"),
+        ("tune", {}, {"tune": {"eval_n_paths": 0}}, "tune.eval_n_paths"),
+        ("stats", {}, {"stats": {"n_paths": 0}}, "stats.n_paths"),
+        ("stats", {}, {"stats": {"max_lag": 0}}, "stats.max_lag"),
+        ("stats", {}, {"stats": {"bin_width": -1}}, "stats.bin_width"),
+        ("gen-paths --parallel 0", {}, None, "--parallel"),
+        ("gen-paths --parallel -4", {}, None, "--parallel"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, monkeypatch,
                                               capsys, command, env, tree,
@@ -139,7 +163,7 @@ class TestMainErrors:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         out = tmp_path / "out"
-        argv = [command, "--out", str(out)]
+        argv = [*command.split(), "--out", str(out)]
         if tree is not None:
             argv += ["--config", str(_write_cfg(tmp_path, tree))]
         assert main(argv) == 2
@@ -150,6 +174,61 @@ class TestMainErrors:
         with pytest.raises(SystemExit) as exc:
             main(["price", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+
+# Runs each argv through main in a fresh process and prints, as JSON,
+# whether scipy.special was loaded after the import and after each run.
+_SPECIAL_LOADED = """
+import json, sys
+from hedgelab.cli import main
+loaded = ["scipy.special" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+TINY_MARKET = {"generator": "market",
+               "market": {"n_agents": 20, "agents_per_step": 4,
+                          "preopen_steps": 20, "steps_per_day": 5}}
+
+
+def _special_loaded(tmp_path, runs):
+    """scipy.special's presence after the import and after each run."""
+    argvs = []
+    for i, (command, tree) in enumerate(runs):
+        cfg = _write_cfg(tmp_path, tree, name=f"config{i}.yaml")
+        argvs.append([command, "--config", str(cfg),
+                      "--out", str(tmp_path / f"out{i}")])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("HEDGELAB__")}
+    env["PYTHONPATH"] = str(Path(hedgelab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SPECIAL_LOADED,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy.special (N and its inverse) loads on first use, not with the
+    CLI.  A fresh process is needed: this one has loaded it already."""
+
+    def test_gbm_and_market_paths_and_stats_never_load_it(self, tmp_path):
+        gbm = {"train": {"paths": 20}, "stats": {"n_paths": 20}}
+        market = {**TINY_MARKET, "train": {"paths": 3},
+                  "stats": {"n_paths": 3}}
+        runs = [("gen-paths", gbm), ("stats", gbm),
+                ("gen-paths", market), ("stats", market)]
+        assert _special_loaded(tmp_path, runs) == [False] * 5
+
+    @pytest.mark.parametrize("command, tree", [
+        ("gen-paths", {"generator": "heston", "train": {"paths": 20}}),
+        ("price", TINY_TRAIN),
+    ])
+    def test_heston_steps_and_features_load_it(self, tmp_path, command,
+                                               tree):
+        assert _special_loaded(tmp_path, [(command, tree)]) == [False, True]
 
 
 class TestFlagsInManifest:
@@ -226,10 +305,7 @@ class TestGenPaths:
         assert meta["generator"] == "heston"
 
     def test_market_generator(self, tmp_path):
-        p = _write_cfg(tmp_path, {
-            "generator": "market",
-            "market": {"n_agents": 20, "agents_per_step": 4,
-                       "preopen_steps": 20, "steps_per_day": 5}})
+        p = _write_cfg(tmp_path, TINY_MARKET)
         out = tmp_path / "out"
         rc = main(["gen-paths", "--config", str(p), "--paths", "3",
                    "--out", str(out)])

@@ -411,6 +411,9 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(policy, _gbm_like_paths(4), spec, ERM1, lr=1e-2,
                   epochs=1, val_split=1.0)
+        with pytest.raises(ValueError, match="minibatch"):
+            train(policy, _gbm_like_paths(4), spec, ERM1, lr=1e-2,
+                  epochs=1, minibatch=0)
 
     def test_single_repeated_path_learns_to_trade(self):
         # identical paths make PL deterministic: any positive trading gain
