@@ -8,7 +8,6 @@ and training knobs, and check simulator output against stylized facts.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor
 from .fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                          run_session, simulate_paths)
 from .hedge_core import (VolConfig, delta_hedge_baseline_batch, feature_width,

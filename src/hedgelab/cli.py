@@ -37,7 +37,7 @@ from .neuralnet import (MlpPolicy, load_policy, policy_price, save_policy,
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
-from .tuner import SearchSpace, StudyBudget, run_study
+from .tuner import STRATEGIES, SearchSpace, StudyBudget, run_study
 
 ENV_PREFIX = "HEDGELAB__"
 # where a run writes without --out; not a config key, so not in manifests
@@ -95,6 +95,10 @@ RANGES = {"seed": _NONNEGATIVE, "cost_rate": _NONNEGATIVE,
           "tune.epochs": _NONNEGATIVE, "tune.eval_n_paths": _COUNT,
           "stats.n_paths": _COUNT, "stats.max_lag": _COUNT,
           "stats.bin_width": _POSITIVE}
+GENERATORS = ("gbm", "heston", "market")
+# config key -> the values it accepts, checked by build_params
+CHOICES = {"generator": GENERATORS, "tune.strategy": STRATEGIES,
+           "tune.space": (None,) + GENERATORS}
 
 
 # ---------------------------------------------------------------- config --
@@ -186,14 +190,21 @@ def build_params(cfg: dict):
     """Typed (option, measure, simulator params) of a merged config.
 
     Every simulator section is built, used or not, so each one is
-    range-checked by its dataclass; the run sizes in ``RANGES`` are
-    checked here.
+    range-checked by its dataclass; the run sizes in ``RANGES`` and the
+    named choices in ``CHOICES`` are checked here.
     """
     for key, (accepts, bounds) in RANGES.items():
         value = _lookup(cfg, key)
         if not accepts(value):
             raise ValueError(f"config key {key!r} must be {bounds}, "
                              f"got {value!r}")
+    for key, choices in CHOICES.items():
+        value = _lookup(cfg, key)
+        if value not in choices:
+            names = ", ".join(repr(c) for c in choices if c is not None)
+            null = " or null" if None in choices else ""
+            raise ValueError(f"config key {key!r} must be one of {names}"
+                             f"{null}, got {value!r}")
     spec = _build(OptionSpec, cfg["option"], "option")
     measure = _build(RiskMeasure, cfg["measure"], "measure")
     n_steps = spec.maturity_days
@@ -204,8 +215,6 @@ def build_params(cfg: dict):
                               days=n_steps),
                        _build(AgentPopulation, cfg["market"]["population"],
                               "market.population"))}
-    if cfg["generator"] not in sims:
-        raise ValueError(f"unknown generator {cfg['generator']!r}")
     return spec, measure, sims[cfg["generator"]]
 
 
@@ -325,8 +334,6 @@ def cmd_tune(args, cfg, spec, measure, sim, out_dir) -> int:
     space_name = tu["space"] or cfg["generator"]
     factories = {"gbm": SearchSpace.gbm, "heston": SearchSpace.heston,
                  "market": SearchSpace.market}
-    if space_name not in factories:
-        raise ValueError(f"unknown search space {space_name!r}")
     space = factories[space_name]()
     budget = StudyBudget(n_paths=tu["n_paths"], epochs=tu["epochs"],
                          minibatch=cfg["train"]["minibatch"],

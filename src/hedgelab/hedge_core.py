@@ -7,9 +7,10 @@ The per-path decomposition is
     cost = c * sum_i S_i * |delta_i - delta_{i-1}|,            i = 0..n
 
 with the boundary positions delta_{-1} = delta_n = 0, i.e. the hedge is
-entered from flat and force-liquidated at maturity.  ``pl_core`` expresses
-the formula once with operators shared by ndarrays and autodiff tensors,
-so the training loss and the reported outcomes cannot drift apart.
+entered from flat and force-liquidated at maturity.  ``pl_core`` states
+the formula once, for the training loss and the reported outcomes alike;
+``neuralnet.minibatch_loss`` differentiates it in closed form through
+``position_change_matrix``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def position_change_matrix(n_steps: int) -> np.ndarray:
 
 
 def pl_core(paths: np.ndarray, deltas, payoffs: np.ndarray, cost_rate: float):
-    """PL of a batch; ``deltas`` may be an ndarray or an autodiff Tensor.
+    """PL of a batch.
 
     paths: (B, n+1) prices, payoffs: (B,) option payoffs, deltas: (B, n).
     Returns (pl, trading_gain, cost) with shapes (B,).
@@ -55,7 +56,7 @@ def pl_core(paths: np.ndarray, deltas, payoffs: np.ndarray, cost_rate: float):
     gain = (deltas * ds).sum(axis=1)
     if cost_rate != 0.0:
         changes = deltas @ position_change_matrix(deltas.shape[1]).T
-        cost = (abs(changes) * paths).sum(axis=1) * cost_rate
+        cost = (np.abs(changes) * paths).sum(axis=1) * cost_rate
     else:
         cost = np.zeros(paths.shape[0])
     # associate exactly as the decomposition identity states it

@@ -9,14 +9,15 @@ measures (CVaR) from thrashing during warm-up.
 
 The forward pass is written once, ``MlpPolicy._forward``.  Pricing calls
 it over fixed row blocks (``forward_np``); training calls it through
-``__call__``, which adds one autodiff node whose backward is the
-hand-derived MLP gradient, so the rest of the loss (PL, risk measure)
-stays on the graph.  That backward works only on the rows whose
-position gradient is non-zero (under CVaR, the tail paths' rows) and
-keeps its matrix products at the full batch shape, so its bits equal a
-dense pass's.
+``__call__``, which keeps what the hand-derived MLP backward
+(``_backward``) needs.  ``minibatch_loss`` is one training step's loss
+and gradient: the risk measure and the PL differentiated in closed form,
+then that backward.  The backward works only on the rows whose position
+gradient is non-zero (under CVaR, the tail paths' rows) and keeps its
+matrix products at the full batch shape, so its bits equal a dense
+pass's.
 
-``policy_price`` is the one graph-free pricing pass (features -> policy
+``policy_price`` is the one pricing pass (features -> policy
 -> PL -> indifference price), shared by training's validation and every
 caller that prices a trained policy.
 """
@@ -29,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .hedge_core import features_matrix, pl_core
+from .hedge_core import features_matrix, pl_core, position_change_matrix
 from .instruments import OptionSpec, payoff_batch
-from .risk import RiskMeasure, indifference_price, utility
+from .risk import ERM, RiskMeasure, cvar_tail, indifference_price
 
-__all__ = ["MlpPolicy", "Adam", "TrainReport", "gradients", "policy_price",
-           "train", "save_policy", "load_policy", "write_report_csv"]
+__all__ = ["MlpPolicy", "Adam", "TrainReport", "minibatch_loss",
+           "policy_price", "train", "save_policy", "load_policy",
+           "write_report_csv"]
 
 HIDDEN_WIDTH = 32
 LN_EPS = 1e-5
@@ -58,26 +60,18 @@ class MlpPolicy:
         self.in_width = in_width
         rng = np.random.default_rng(seed)
         w = HIDDEN_WIDTH
-
-        def affine(fan_in, fan_out):
-            bound = np.sqrt(6.0 / fan_in)
-            return (Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)),
-                           requires_grad=True),
-                    Tensor(np.zeros(fan_out), requires_grad=True))
-
         self.params = []
         self._layers = []
         fan = in_width
         for _ in range(3):
-            wt, bt = affine(fan, w)
-            gain = Tensor(np.ones(w), requires_grad=True)
-            bias = Tensor(np.zeros(w), requires_grad=True)
+            bound = np.sqrt(6.0 / fan)
+            wt = rng.uniform(-bound, bound, (fan, w))
+            bt, gain, bias = np.zeros(w), np.ones(w), np.zeros(w)
             self._layers.append((wt, bt, gain, bias))
             self.params += [wt, bt, gain, bias]
             fan = w
         # zero head: the untrained policy holds no position
-        head_w = Tensor(np.zeros((w, 1)), requires_grad=True)
-        head_b = Tensor(np.zeros(1), requires_grad=True)
+        head_w, head_b = np.zeros((w, 1)), np.zeros(1)
         self._layers.append((head_w, head_b))
         self.params += [head_w, head_b]
 
@@ -103,21 +97,21 @@ class MlpPolicy:
         h = x
         for wt, bt, gain, bias in self._layers[:-1]:
             keep(h)
-            h = h @ wt.data
-            h += bt.data
+            h = h @ wt
+            h += bt
             centered = h - h.mean(axis=1, keepdims=True)
             sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True)
                          + LN_EPS)
             h = centered / sd
             keep(centered, sd, h)
-            h = h * gain.data
-            h += bias.data
+            h = h * gain
+            h += bias
             mask = h > 0.0  # relu'(0) = 0
             h *= mask
             keep(mask)
         keep(h)
         head_w, head_b = self._layers[-1]
-        return (h @ head_w.data + head_b.data).reshape(-1)
+        return (h @ head_w + head_b).reshape(-1)
 
     def _backward(self, g: np.ndarray, cache: list) -> list:
         """Gradient of each parameter, in ``params`` order, given the
@@ -150,7 +144,7 @@ class MlpPolicy:
         nonzero = np.flatnonzero(g)
         sparse = nonzero.size < n
         rows = nonzero if sparse else slice(None)
-        g = (g @ head_w.data.T)[rows]
+        g = (g @ head_w.T)[rows]
         for k in (2, 1, 0):
             wt, _, gain, _ = self._layers[k]
             h = cache[5 * k]
@@ -159,7 +153,7 @@ class MlpPolicy:
             g = g * mask
             d_gain = (g * q).sum(axis=0)
             d_bias = g.sum(axis=0)
-            g = g * gain.data
+            g = g * gain
             d_sd = (-g * centered / (sd * sd)).sum(axis=1, keepdims=True)
             # back through the sqrt and the variance's row mean
             d_sq = d_sd * 0.5 / sd * inv_w
@@ -172,23 +166,18 @@ class MlpPolicy:
                 full[rows] = g
             grads = [h.T @ full, g.sum(axis=0), d_gain, d_bias] + grads
             if k:
-                g = (full @ wt.data.T)[rows]
+                g = (full @ wt.T)[rows]
         return grads
 
-    def __call__(self, x: np.ndarray) -> Tensor:
-        """Positions as one graph node whose parents are the parameters;
-        x is (batch, in_width)."""
+    def __call__(self, x: np.ndarray):
+        """Positions for a (batch, in_width) feature array, and the
+        function that maps their gradient to the parameters' gradients."""
         cache = []
         out = self._forward(x, cache)
-
-        def backward(g):
-            for p, grad in zip(self.params, self._backward(g, cache)):
-                p._accumulate(grad)
-
-        return Tensor._node(out, tuple(self.params), backward)
+        return out, lambda g: self._backward(g, cache)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Positions for a (batch, in_width) array, without a graph.
+        """Positions for a (batch, in_width) array, without a cache.
 
         Rows are independent, so ``_forward`` runs over blocks of
         ``FORWARD_BLOCK_ROWS`` rows, each written into one preallocated
@@ -211,24 +200,18 @@ class MlpPolicy:
         return out
 
     def get_state(self) -> list:
-        return [p.data.copy() for p in self.params]
+        return [p.copy() for p in self.params]
 
     def set_state(self, state) -> None:
+        """Copy ``state`` into the parameters; the caller's arrays stay
+        its own."""
         if len(state) != len(self.params):
             raise ValueError("state length mismatch")
         for p, arr in zip(self.params, state):
-            if p.data.shape != arr.shape:
+            if p.shape != arr.shape:
                 raise ValueError("state shape mismatch")
-            p.data = np.asarray(arr, dtype=float)
-
-
-def gradients(loss: Tensor, params) -> list:
-    """Reverse-mode dloss/dp for each parameter; loss must be scalar."""
-    for p in params:
-        p.grad = None
-    loss.backward()
-    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-            for p in params]
+        for p, arr in zip(self.params, state):
+            p[...] = arr
 
 
 class Adam:
@@ -239,27 +222,22 @@ class Adam:
         self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
-    def step(self) -> None:
+    def step(self, grads) -> None:
+        """Update each parameter in place from its gradient in ``grads``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
+        for p, g, m, v in zip(self.params, grads, self.m, self.v,
+                              strict=True):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def get_state(self):
         return self.t, [m.copy() for m in self.m], [v.copy() for v in self.v]
@@ -279,10 +257,58 @@ class TrainReport:
     diagnostics: list = field(default_factory=list)
 
 
+def minibatch_loss(policy: MlpPolicy, feats: np.ndarray, paths: np.ndarray,
+                   payoffs: np.ndarray, measure: RiskMeasure,
+                   cost_rate: float) -> Tensor:
+    """Training loss -u(PL) of one minibatch, with its gradient.
+
+    feats: (B, n, width) policy features, paths: (B, n+1) prices,
+    payoffs: (B,).  The gradient runs back through the risk measure and
+    the PL in closed form, then through ``MlpPolicy._backward``.  Each
+    step is the product or sum that reverse-mode differentiation of the
+    loss composed from elementary nodes performs, in the same order, so
+    the loss and the gradients equal that graph's bit for bit.  Hence
+    the ERM mean is ``sum * (1/m)``, not ``np.mean``.
+    """
+    b, n, width = feats.shape
+    deltas, policy_backward = policy(feats.reshape(-1, width))
+    deltas = deltas.reshape(b, n)
+    pl, _, _ = pl_core(paths, deltas, payoffs, cost_rate)
+    m = pl.size
+    if measure.kind == ERM:
+        lam = measure.lam
+        y = pl * (-lam)
+        shift = float(np.max(y))
+        e = np.exp(y - shift)
+        mean = e.sum() * (1.0 / m)
+        loss = -((np.log(mean) + shift) * (-1.0 / lam))
+    else:
+        tail = cvar_tail(pl, measure.alpha)
+        loss = -(pl[tail].sum() * (1.0 / tail.size))
+
+    def grads():
+        if measure.kind == ERM:
+            g_pl = -1.0 * (-1.0 / lam) / mean * (1.0 / m) * e * (-lam)
+        else:
+            g_pl = np.zeros(m)
+            g_pl[tail] = -1.0 * (1.0 / tail.size)
+        # trading gain: sum_i delta_i * (S_{i+1} - S_i)
+        g = g_pl[:, None] * (paths[:, 1:] - paths[:, :-1])
+        if cost_rate != 0.0:
+            # cost: c * sum_i S_i * |changes_i|, with sign(0) = 0
+            to_changes = position_change_matrix(n)
+            changes = deltas @ to_changes.T
+            g = g + ((-g_pl * cost_rate)[:, None] * paths
+                     * np.sign(changes)) @ to_changes
+        return policy_backward(g.reshape(-1))
+
+    return Tensor(float(loss), grads)
+
+
 def policy_price(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
                  measure: RiskMeasure, cost_rate: float = 0.0) -> float:
     """Indifference price of ``spec`` hedged by ``policy`` over ``paths``,
-    evaluated without building a graph."""
+    evaluated by the blocked forward pass."""
     feats = features_matrix(paths, spec)
     deltas = policy.forward_np(
         feats.reshape(-1, feats.shape[2])).reshape(paths.shape[0], -1)
@@ -343,22 +369,18 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
         fault = ""
         for lo in range(0, n_tr, bs):
             idx = order[lo:lo + bs]
-            # ``loss`` keeps this minibatch's graph alive until the next
-            # one is built; freeing it here instead lets the allocator
-            # hand the pages back and fault them in again every step
-            deltas = policy(feats_tr[idx].reshape(-1, feats_tr.shape[2]))
-            pl, _, _ = pl_core(train_paths[idx],
-                               deltas.reshape(idx.size, -1), pay_tr[idx],
-                               cost_rate)
-            loss = -utility(pl, measure)
-            if not np.isfinite(loss.data):
+            # ``loss`` keeps this minibatch's forward cache alive until the
+            # next one is built; freeing it here instead lets the
+            # allocator hand the pages back and fault them in again every
+            # step
+            loss = minibatch_loss(policy, feats_tr[idx], train_paths[idx],
+                                  pay_tr[idx], measure, cost_rate)
+            if not np.isfinite(loss.value):
                 fault = "loss"
                 break
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        del deltas, pl, loss  # the validation pass reuses the graph's memory
+            opt.step(loss.backward())
+            losses.append(loss.value)
+        del loss  # the validation pass reuses the cache's memory
         if not fault:
             val_price = policy_price(policy, val_paths, spec, measure,
                                      cost_rate)
@@ -391,7 +413,7 @@ def save_policy(policy: MlpPolicy, path, config_hash: str = "") -> None:
     meta = json.dumps({"version": CHECKPOINT_VERSION,
                        "in_width": policy.in_width,
                        "config_hash": config_hash})
-    arrays = {f"p{i}": p.data for i, p in enumerate(policy.params)}
+    arrays = {f"p{i}": p for i, p in enumerate(policy.params)}
     np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
 

@@ -12,9 +12,11 @@ Cash invariance makes the indifference equation u(PL + p) = u(0) = 0
 solvable in closed form, p = -u(PL); ``indifference_price`` additionally
 verifies the defining equation numerically.
 
-``erm``, ``cvar`` and ``utility`` accept either a plain ndarray (pricing)
-or an ``autodiff.Tensor`` (training), so the training loss literally
-reuses the pricing formulas; ``indifference_price`` prices sample values.
+``erm``, ``cvar``, ``utility`` and ``indifference_price`` take sample
+arrays.  The training loss (``neuralnet.minibatch_loss``) differentiates
+the same two measures in closed form and takes its CVaR tail from
+``cvar_tail``; its ERM averages as ``sum * (1/m)``, where ``erm`` calls
+``np.mean``, so the two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .autodiff import Tensor, data_of, exp, log, mean
 
 ERM = "erm"
 CVAR = "cvar"
@@ -58,34 +58,35 @@ def erm(samples, lam: float):
     """Entropic utility -(1/lam) log mean exp(-lam x) with max-shift."""
     if lam <= 0.0:
         raise ValueError("erm requires lambda > 0")
-    raw = data_of(samples)
-    if raw.size == 0:
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("erm of an empty sample")
-    y = samples * (-lam)
-    shift = float(np.max(data_of(y)))  # constant shift; gradient is unaffected
-    u = log(mean(exp(y - shift))) + shift
-    return u * (-1.0 / lam)
+    y = x * (-lam)
+    shift = float(np.max(y))
+    return (np.log(np.mean(np.exp(y - shift))) + shift) * (-1.0 / lam)
+
+
+def cvar_tail(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """Indices of the ceil((1-alpha) m) smallest samples, ties broken by
+    sample index."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("cvar requires 0 <= alpha < 1")
+    if samples.size == 0:
+        raise ValueError("cvar of an empty sample")
+    k = math.ceil((1.0 - alpha) * samples.size)
+    if k < 1:
+        raise ValueError("cvar tail is empty")
+    return np.argsort(samples, kind="stable")[:k]
 
 
 def cvar(samples, alpha: float):
     """Lower-tail expectation: mean of the ceil((1-alpha) m) smallest samples."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("cvar requires 0 <= alpha < 1")
-    raw = data_of(samples)
-    if raw.size == 0:
-        raise ValueError("cvar of an empty sample")
-    m = raw.size
-    k = math.ceil((1.0 - alpha) * m)
-    if k < 1:
-        raise ValueError("cvar tail is empty")
-    order = np.argsort(raw, kind="stable")[:k]  # index order breaks ties
-    if isinstance(samples, Tensor):
-        return samples.take_rows(order).mean()
-    return float(np.mean(raw[order]))
+    x = np.asarray(samples, dtype=np.float64)
+    return float(np.mean(x[cvar_tail(x, alpha)]))
 
 
 def utility(samples, measure: RiskMeasure):
-    """Dispatch to the measure's utility; Tensor in, Tensor out."""
+    """The utility of ``samples`` under ``measure``."""
     if measure.kind == ERM:
         return erm(samples, measure.lam)
     return cvar(samples, measure.alpha)
@@ -98,7 +99,7 @@ def indifference_price(pl_samples, measure: RiskMeasure, verify: bool = True,
     ``verify=True`` re-evaluates the defining equation at the root and
     raises if cash invariance was violated numerically.
     """
-    pl = data_of(pl_samples)
+    pl = np.asarray(pl_samples, dtype=np.float64)
     price = -float(utility(pl, measure))
     if verify:
         residual = float(utility(pl + price, measure))

@@ -40,6 +40,7 @@ from .neuralnet import MlpPolicy, policy_price, train
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams
 
+STRATEGIES = ("random", "tpe_like")
 TPE_WARMUP = 20
 TPE_GOOD_FRACTION = 0.25
 
@@ -127,11 +128,11 @@ def _uniform_assignment(space: SearchSpace, rng) -> dict:
 
 def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
     """Draw one constrained assignment; strategy 'random' or 'tpe_like'."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
     if strategy == "random":
         return _uniform_assignment(space, rng)
-    if strategy != "tpe_like":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     finished = [t for t in history if math.isfinite(t.objective)]
     if len(history) < TPE_WARMUP or len(finished) < 4:

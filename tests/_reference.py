@@ -15,10 +15,13 @@ features and realized_vol, and the single-path delta_hedge_baseline are
 the one-path-at-a-time statements that the batch routines of
 hedgelab.hedge_core are checked against.
 
-reference_policy_graph composes the policy from elementary autodiff
-nodes, one per operation (the engine's own plus relu, sqrt and div
-below); MlpPolicy.__call__'s hand-derived backward must reproduce its
-parameter gradients bit for bit.
+Tensor is a minimal reverse-mode autodiff engine over float64 arrays,
+the one hedgelab trained with before its gradient was written out in
+closed form.  reference_minibatch_loss composes the training loss from
+its nodes, one per operation: the policy (reference_policy_graph, with
+relu, sqrt and div below), the PL (pl_graph) and the risk measure
+(erm_graph, cvar_graph).  neuralnet.minibatch_loss must reproduce its
+loss and parameter gradients bit for bit.
 """
 
 import csv
@@ -28,11 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hedgelab.autodiff import Tensor, _unbroadcast
-from hedgelab.hedge_core import ANNUAL_DAYS, VolConfig, pl_core
+from hedgelab import autodiff
+from hedgelab.hedge_core import (ANNUAL_DAYS, VolConfig, pl_core,
+                                 position_change_matrix)
 from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
 from hedgelab.lob import Book, Order
 from hedgelab.neuralnet import LN_EPS
+from hedgelab.risk import ERM
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -402,7 +407,7 @@ def compute_pl(path: np.ndarray, deltas: np.ndarray, spec: OptionSpec,
 
 def compute_pl_batch(paths: np.ndarray, deltas, spec: OptionSpec,
                      cost_rate: float = 0.0):
-    """Batch PL; ``deltas`` may be a Tensor so the result stays differentiable."""
+    """Batch PL of ``deltas`` positions; validates shapes."""
     paths = np.asarray(paths, dtype=np.float64)
     if cost_rate < 0.0:
         raise ValueError("cost_rate must be nonnegative")
@@ -478,6 +483,242 @@ def delta_hedge_baseline(path: np.ndarray, spec: OptionSpec, vol: float) -> np.n
     return out
 
 
+# ---------------------------------------------------- reverse-mode engine --
+#
+# Conventions asserted by tests/test_autodiff.py:
+#   * d|x|/dx at 0 = 0  (sign(0) = 0)
+#   * ``backward()`` is only defined for scalar roots.
+
+def _as_array(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+class Tensor:
+    """Dense float64 tensor node of a reverse-mode computation graph."""
+
+    # numpy must not swallow us in mixed expressions; reflected ops run instead
+    __array_ufunc__ = None
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self._parents: tuple = ()
+        self._backward = None
+
+    # -- graph plumbing ----------------------------------------------------
+
+    @classmethod
+    def _node(cls, data: np.ndarray, parents: tuple, backward) -> "Tensor":
+        out = cls(data)
+        if any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+        return out
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g.copy() if isinstance(g, np.ndarray) else _as_array(g)
+        else:
+            self.grad = self.grad + g
+
+    def backward(self) -> None:
+        """Backpropagate from a scalar root, filling ``grad`` on the graph."""
+        if self.data.ndim != 0 and self.data.size != 1:
+            raise ValueError("backward() requires a scalar root node")
+        topo: list = []
+        seen: set = set()
+        stack: list = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    stack.append((p, False))
+        self.grad = np.ones_like(self.data)
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    # -- elementwise arithmetic (broadcasting) ------------------------------
+
+    def __add__(self, other):
+        o = other if isinstance(other, Tensor) else Tensor(other)
+        out_data = self.data + o.data
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if o.requires_grad:
+                o._accumulate(_unbroadcast(g, o.data.shape))
+
+        return Tensor._node(out_data, (self, o), bw)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(-g)
+
+        return Tensor._node(-self.data, (self,), bw)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Tensor) else Tensor(-_as_array(other)))
+
+    def __mul__(self, other):
+        o = other if isinstance(other, Tensor) else Tensor(other)
+        out_data = self.data * o.data
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * o.data, self.data.shape))
+            if o.requires_grad:
+                o._accumulate(_unbroadcast(g * self.data, o.data.shape))
+
+        return Tensor._node(out_data, (self, o), bw)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        o = other if isinstance(other, Tensor) else Tensor(other)
+        out_data = self.data @ o.data
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(g @ o.data.T)
+            if o.requires_grad:
+                o._accumulate(self.data.T @ g)
+
+        return Tensor._node(out_data, (self, o), bw)
+
+    def __abs__(self):
+        out_data = np.abs(self.data)
+        sign = np.sign(self.data)  # sign(0) = 0: fixed subgradient at the kink
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(g * sign)
+
+        return Tensor._node(out_data, (self,), bw)
+
+    # -- nonlinearities ------------------------------------------------------
+
+    def exp(self):
+        out_data = np.exp(self.data)
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(g * out_data)
+
+        return Tensor._node(out_data, (self,), bw)
+
+    def log(self):
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(g / self.data)
+
+        return Tensor._node(np.log(self.data), (self,), bw)
+
+    # -- reductions and shape ops --------------------------------------------
+
+    def sum(self, axis=None, keepdims: bool = False):
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+
+        def bw(g):
+            if not self.requires_grad:
+                return
+            if axis is None:
+                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+                return
+            gg = g if keepdims else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(gg, self.data.shape).copy())
+
+        return Tensor._node(out_data, (self,), bw)
+
+    def mean(self, axis=None, keepdims: bool = False):
+        if axis is None:
+            n = self.data.size
+        else:
+            n = self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        old = self.data.shape
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(g.reshape(old))
+
+        return Tensor._node(self.data.reshape(shape), (self,), bw)
+
+    def take_rows(self, indices: np.ndarray):
+        """Gather rows along axis 0; gradients flow back to the picked rows."""
+        idx = np.asarray(indices)
+        out_data = self.data[idx]
+
+        def bw(g):
+            if self.requires_grad:
+                buf = np.zeros_like(self.data)
+                np.add.at(buf, idx, g)
+                self._accumulate(buf)
+
+        return Tensor._node(out_data, (self,), bw)
+
+
+def data_of(x) -> np.ndarray:
+    """Raw ndarray view of either a Tensor or an array-like."""
+    return x.data if isinstance(x, Tensor) else _as_array(x)
+
+
+def exp(x):
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def log(x):
+    return x.log() if isinstance(x, Tensor) else np.log(x)
+
+
+def mean(x, axis=None):
+    return x.mean(axis=axis) if isinstance(x, Tensor) else _as_array(x).mean(axis=axis)
+
+
+def gradients(loss: Tensor, params) -> list:
+    """Reverse-mode dloss/dp for each parameter; loss must be scalar."""
+    for p in params:
+        p.grad = None
+    loss.backward()
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for p in params]
+
+
 # ------------------------------------------------------------ policy graph --
 
 def relu(x: Tensor) -> Tensor:
@@ -523,10 +764,60 @@ def layer_norm(h: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return div(centered, sqrt(var + LN_EPS)) * gain + bias
 
 
-def reference_policy_graph(policy, x: np.ndarray) -> Tensor:
-    """The policy's positions for ``x`` as a graph of elementary nodes."""
+def reference_policy_graph(params, x: np.ndarray) -> Tensor:
+    """The positions for ``x`` as a graph of elementary nodes over the
+    parameter tensors ``params``, in ``MlpPolicy.params`` order."""
     h = Tensor(x)
-    for wt, bt, gain, bias in policy._layers[:-1]:
+    for k in range(3):
+        wt, bt, gain, bias = params[4 * k:4 * k + 4]
         h = relu(layer_norm(h @ wt + bt, gain, bias))
-    head_w, head_b = policy._layers[-1]
+    head_w, head_b = params[12:]
     return (h @ head_w + head_b).reshape(-1)
+
+
+# ------------------------------------------------------------- loss graph --
+
+def pl_graph(paths: np.ndarray, deltas: Tensor, payoffs: np.ndarray,
+             cost_rate: float) -> Tensor:
+    """hedge_core.pl_core's PL as engine nodes."""
+    ds = paths[:, 1:] - paths[:, :-1]
+    gain = (deltas * ds).sum(axis=1)
+    if cost_rate != 0.0:
+        changes = deltas @ position_change_matrix(deltas.shape[1]).T
+        cost = (abs(changes) * paths).sum(axis=1) * cost_rate
+    else:
+        cost = np.zeros(paths.shape[0])
+    return -payoffs + gain - cost
+
+
+def erm_graph(samples: Tensor, lam: float) -> Tensor:
+    """Entropic utility -(1/lam) log mean exp(-lam x) with max-shift."""
+    y = samples * (-lam)
+    shift = float(np.max(data_of(y)))  # constant shift; gradient is unaffected
+    u = log(mean(exp(y - shift))) + shift
+    return u * (-1.0 / lam)
+
+
+def cvar_graph(samples: Tensor, alpha: float) -> Tensor:
+    """Mean of the ceil((1-alpha) m) smallest samples, ties by index."""
+    raw = samples.data
+    k = math.ceil((1.0 - alpha) * raw.size)
+    order = np.argsort(raw, kind="stable")[:k]
+    return samples.take_rows(order).mean()
+
+
+def reference_minibatch_loss(policy, feats: np.ndarray, paths: np.ndarray,
+                             payoffs: np.ndarray, measure,
+                             cost_rate: float) -> autodiff.Tensor:
+    """neuralnet.minibatch_loss computed on the engine: a drop-in whose
+    loss and gradients the closed form must equal bit for bit."""
+    params = [Tensor(p, requires_grad=True) for p in policy.params]
+    deltas = reference_policy_graph(params,
+                                    feats.reshape(-1, feats.shape[2]))
+    pl = pl_graph(paths, deltas.reshape(paths.shape[0], -1), payoffs,
+                  cost_rate)
+    u = (erm_graph(pl, measure.lam) if measure.kind == ERM
+         else cvar_graph(pl, measure.alpha))
+    loss = -u
+    return autodiff.Tensor(float(loss.data),
+                           lambda: gradients(loss, params))

@@ -23,7 +23,7 @@ from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order, expire_orders, insert_order
 from hedgelab.market_data import lag_returns, raw_kurtosis
-from hedgelab.neuralnet import MlpPolicy, gradients, train
+from hedgelab.neuralnet import MlpPolicy, minibatch_loss, train
 from hedgelab.risk import RiskMeasure, cvar, erm, indifference_price, utility
 from hedgelab.stoch_models import (GbmParams, HestonParams, gbm_paths,
                                    heston_paths)
@@ -101,14 +101,6 @@ def test_criterion_02_risk_oracles(acceptance_report):
              t0, 1.0)
 
 
-def _graph_loss(policy, paths, spec, measure, cost_rate):
-    feats = features_matrix(paths, spec, VolConfig())
-    deltas = policy(feats.reshape(-1, feats.shape[2]))
-    deltas = deltas.reshape(paths.shape[0], paths.shape[1] - 1)
-    pl, _, _ = pl_core(paths, deltas, payoff_batch(spec, paths), cost_rate)
-    return -utility(pl, measure)
-
-
 def _np_loss(policy, paths, spec, measure, cost_rate):
     feats = features_matrix(paths, spec, VolConfig())
     deltas = policy.forward_np(feats.reshape(-1, feats.shape[2]))
@@ -132,11 +124,12 @@ def test_criterion_03_gradient_fidelity(acceptance_report):
         state[-1] = rng.normal(0.0, 0.1, state[-1].shape)
         policy.set_state(state)
         for measure in measures:
-            grads = gradients(_graph_loss(policy, paths, toy, measure, 0.002),
-                              policy.params)
+            grads = minibatch_loss(
+                policy, features_matrix(paths, toy, VolConfig()), paths,
+                payoff_batch(toy, paths), measure, 0.002).backward()
             h = 1e-6
             for p, g in zip(policy.params, grads):
-                flat = p.data.reshape(-1)
+                flat = p.reshape(-1)
                 for idx in rng.choice(flat.size, size=min(3, flat.size),
                                       replace=False):
                     keep = flat[idx]

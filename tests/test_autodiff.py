@@ -1,10 +1,12 @@
-"""Gradient correctness of the minimal reverse-mode tensor library.
+"""Gradient correctness of the reference reverse-mode engine.
 
-Every op gets a central finite-difference check; the fixed subgradient
+The engine (tests/_reference.py) is the oracle that the closed-form
+training gradient is checked against, so it is checked itself: every op
+gets a central finite-difference check, and the fixed subgradient
 conventions (relu'(0) = 0, d|x|/dx|_0 = 0) are asserted exactly, since
 the hedging loss sits right on those kinks whenever a position does not
-move.  relu, sqrt and div are the test-side nodes of the reference
-policy graph (tests/_reference.py), checked here like the engine's own.
+move.  relu, sqrt and div are the nodes of the reference policy graph,
+checked here like the engine's own.
 """
 
 import numpy as np
@@ -12,8 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _reference import div, relu, sqrt
-from hedgelab.autodiff import Tensor, data_of, exp, log, mean
+from _reference import Tensor, data_of, div, exp, log, mean, relu, sqrt
 
 
 def _fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -111,13 +111,6 @@ class TestMainErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error (gen-paths):")
 
-    def test_unknown_generator_exits_2(self, tmp_path, capsys):
-        p = _write_cfg(tmp_path, {"generator": "sabr"})
-        rc = main(["gen-paths", "--config", str(p), "--paths", "5",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "unknown generator" in capsys.readouterr().err
-
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["gen-paths", "--config", str(tmp_path / "absent.yaml"),
                    "--out", str(tmp_path / "out")])
@@ -156,6 +149,11 @@ class TestMainErrors:
         ("stats", {}, {"stats": {"bin_width": -1}}, "stats.bin_width"),
         ("gen-paths --parallel 0", {}, None, "--parallel"),
         ("gen-paths --parallel -4", {}, None, "--parallel"),
+        # named choices too, before a tune writes its ledger
+        ("gen-paths --paths 5", {}, {"generator": "sabr"}, "generator"),
+        ("tune", {}, {"tune": {"strategy": "bogus"}}, "tune.strategy"),
+        ("tune", {}, {"tune": {"space": "sabr"}}, "tune.space"),
+        ("tune", {"HEDGELAB__GENERATOR": "sabr"}, None, "generator"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, monkeypatch,
                                               capsys, command, env, tree,
@@ -169,6 +167,7 @@ class TestMainErrors:
         assert main(argv) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+        assert not (out / "ledger.csv").exists()
 
     def test_flag_of_another_subcommand_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -12,16 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import layer_norm, reference_policy_graph
+from _reference import Tensor, layer_norm, reference_minibatch_loss
 import hedgelab
-from hedgelab.autodiff import Tensor
-from hedgelab.hedge_core import features_matrix, pl_core
+from hedgelab import neuralnet
+from hedgelab.hedge_core import features_matrix
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.neuralnet import (FORWARD_BLOCK_ROWS, HIDDEN_WIDTH, Adam,
-                                MlpPolicy, TrainReport, gradients,
-                                load_policy, save_policy, train,
+                                MlpPolicy, TrainReport, load_policy,
+                                minibatch_loss, save_policy, train,
                                 write_report_csv)
-from hedgelab.risk import RiskMeasure, indifference_price, utility
+from hedgelab.risk import RiskMeasure, indifference_price
 
 ERM1 = RiskMeasure("erm", lam=1.0)
 
@@ -49,7 +49,7 @@ class TestMlpPolicy:
         policy = MlpPolicy(4, seed=3)
         x = np.random.default_rng(0).normal(size=(17, 4))
         assert np.all(policy.forward_np(x) == 0.0)
-        assert np.all(policy(x).data == 0.0)
+        assert np.all(policy(x)[0] == 0.0)
 
     def test_construction_deterministic(self):
         a = MlpPolicy(5, seed=11).get_state()
@@ -61,8 +61,8 @@ class TestMlpPolicy:
     def test_param_count_and_shapes(self):
         policy = MlpPolicy(4)
         assert len(policy.params) == 14  # 3 x (W, b, gain, bias) + head
-        assert policy.params[0].data.shape == (4, 32)
-        assert policy.params[-2].data.shape == (32, 1)
+        assert policy.params[0].shape == (4, 32)
+        assert policy.params[-2].shape == (32, 1)
 
     def test_duplicated_rows_identical_outputs(self):
         policy = _randomized_policy()
@@ -73,7 +73,7 @@ class TestMlpPolicy:
     def test_graph_and_numpy_forward_agree(self):
         policy = _randomized_policy(seed=4)
         x = np.random.default_rng(5).normal(size=(23, 4))
-        np.testing.assert_array_equal(policy(x).data, policy.forward_np(x))
+        np.testing.assert_array_equal(policy(x)[0], policy.forward_np(x))
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
@@ -184,14 +184,13 @@ def test_policy_gradients_match_finite_differences():
         d = policy.forward_np(x) - target
         return float(np.mean(d * d))
 
-    diff = policy(x) - Tensor(target)
-    loss = (diff * diff).mean()
-    grads = gradients(loss, policy.params)
+    out, backward = policy(x)
+    grads = backward(2.0 * (out - target) / x.shape[0])
 
     rng = np.random.default_rng(10)
     h = 1e-6
     for p, g in zip(policy.params, grads):
-        flat = p.data.reshape(-1)
+        flat = p.reshape(-1)
         for idx in rng.choice(flat.size, size=min(4, flat.size),
                               replace=False):
             keep = flat[idx]
@@ -205,12 +204,21 @@ def test_policy_gradients_match_finite_differences():
                                                        abs=1e-8)
 
 
-def _hedge_loss(forward, paths, spec, measure, cost_rate):
-    feats = features_matrix(paths, spec)
-    deltas = forward(feats.reshape(-1, feats.shape[2]))
-    pl, _, _ = pl_core(paths, deltas.reshape(paths.shape[0], -1),
-                       payoff_batch(spec, paths), cost_rate)
-    return -utility(pl, measure)
+def _both_losses(policy, paths, spec, measure, cost_rate):
+    """(loss, gradients) of one minibatch from ``minibatch_loss`` and from
+    the reference engine's graph."""
+    args = (policy, features_matrix(paths, spec), paths,
+            payoff_batch(spec, paths), measure, cost_rate)
+    out = []
+    for loss_fn in (minibatch_loss, reference_minibatch_loss):
+        loss = loss_fn(*args)
+        out.append((loss.value, loss.backward()))
+    return out
+
+
+def _same_bits(a, b):
+    return (np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
 
 
 def _flatten(paths, flat):
@@ -236,6 +244,10 @@ def _flatten(paths, flat):
          dead_unit=0, flat="all", lam=3.0)
 @example(seed=3, lookback=False, batch=9, use_cvar=False, cost_rate=0.0,
          dead_unit=None, flat=None, lam=1e5)
+# ERM over 9 paths whose mean, sum * (1/9), differs from np.mean's sum / 9
+# in the last bit
+@example(seed=0, lookback=False, batch=9, use_cvar=False, cost_rate=0.0,
+         dead_unit=0, flat=None, lam=3.0)
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 31 - 1), lookback=st.booleans(),
        batch=st.sampled_from([1, 2, 9]), use_cvar=st.booleans(),
@@ -260,34 +272,34 @@ def test_policy_node_gradients_equal_reference_graph(
     policy.set_state(state)
     paths = _flatten(_gbm_like_paths(batch, steps=5, seed=seed % 997), flat)
 
-    fused = gradients(_hedge_loss(policy, paths, spec, measure, cost_rate),
-                      policy.params)
-    graph = gradients(_hedge_loss(lambda x: reference_policy_graph(policy, x),
-                                  paths, spec, measure, cost_rate),
-                      policy.params)
+    (loss, fused), (ref_loss, graph) = _both_losses(policy, paths, spec,
+                                                    measure, cost_rate)
+    assert _same_bits(loss, ref_loss)
+    assert len(fused) == len(graph) == 14
     for a, b in zip(fused, graph):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert _same_bits(a, b)
     if dead_unit is not None:
         assert fused[4 * dead_unit + 2][7] == 0.0
         assert fused[4 * dead_unit + 3][7] == 0.0
 
 
-# Gradients at the benchmark's minibatch shape (256 paths x 20 steps),
-# from the policy node and from the reference graph, saved to the npz
-# named by argv[1].  Rows past a few dozen reach OpenBLAS's large-shape
-# kernels, which the hypothesis test above never does.
+# Losses and gradients at the benchmark's minibatch shape (256 paths x 20
+# steps), from minibatch_loss and from the reference graph, saved to the
+# npz named by argv[1].  Rows past a few dozen reach OpenBLAS's
+# large-shape kernels, which the hypothesis test above never does.
 _MINIBATCH_GRADIENT_CASES = """
 import sys
 import numpy as np
-from _reference import reference_policy_graph
 from hedgelab.instruments import OptionSpec
-from hedgelab.neuralnet import MlpPolicy, gradients
+from hedgelab.neuralnet import MlpPolicy
 from hedgelab.risk import RiskMeasure
-from test_neuralnet import _gbm_like_paths, _hedge_loss
+from test_neuralnet import _both_losses, _gbm_like_paths
 
 cvar = RiskMeasure("cvar", alpha=0.95)
 cases = [(w, cvar, c) for w in (4, 5) for c in (0.0, 0.002)]
-cases.append((4, RiskMeasure("erm", lam=1.0), 0.002))
+cases += [(4, RiskMeasure("erm", lam=1.0), 0.002),
+          (4, RiskMeasure("erm", lam=1.0), 0.0),
+          (5, RiskMeasure("erm", lam=1e5), 0.002)]
 arrays = {}
 for i, (width, measure, cost_rate) in enumerate(cases):
     paths = _gbm_like_paths(256, steps=20, seed=i)
@@ -297,11 +309,9 @@ for i, (width, measure, cost_rate) in enumerate(cases):
     rng = np.random.default_rng(i)
     policy.set_state([p + rng.normal(0.0, 0.3, p.shape)
                       for p in policy.get_state()])
-    fused = gradients(_hedge_loss(policy, paths, spec, measure, cost_rate),
-                      policy.params)
-    graph = gradients(_hedge_loss(lambda x: reference_policy_graph(policy, x),
-                                  paths, spec, measure, cost_rate),
-                      policy.params)
+    (loss, fused), (ref_loss, graph) = _both_losses(policy, paths, spec,
+                                                    measure, cost_rate)
+    arrays[f"{i}_loss_fused"], arrays[f"{i}_loss_graph"] = loss, ref_loss
     for j, (a, b) in enumerate(zip(fused, graph)):
         arrays[f"{i}_{j}_fused"], arrays[f"{i}_{j}_graph"] = a, b
 np.savez(sys.argv[1], **arrays)
@@ -321,7 +331,7 @@ def test_minibatch_gradients_equal_reference_graph(tmp_path):
     with np.load(out) as blob:
         names = sorted(k[:-len("_fused")] for k in blob.files
                        if k.endswith("_fused"))
-        assert len(names) == 5 * 14
+        assert len(names) == 7 * (1 + 14)
         for name in names:
             fused, graph = blob[name + "_fused"], blob[name + "_graph"]
             assert fused.shape == graph.shape
@@ -341,39 +351,24 @@ def test_train_on_reference_graph_is_byte_identical(monkeypatch):
         return [p.tobytes() for p in policy.get_state()], report
 
     fused = run()
-    monkeypatch.setattr(MlpPolicy, "__call__", reference_policy_graph)
+    monkeypatch.setattr(neuralnet, "minibatch_loss", reference_minibatch_loss)
     assert run() == fused
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
+        p = np.zeros(3)
         opt = Adam([p], lr=0.01)
-        p.grad = np.array([1.0, -2.0, 0.5])
-        opt.step()
+        opt.step([np.array([1.0, -2.0, 0.5])])
         # bias-corrected first step collapses to -lr * sign(grad)
-        np.testing.assert_allclose(p.data, [-0.01, 0.01, -0.01], rtol=1e-6)
-
-    def test_none_grad_skipped(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        opt = Adam([p], lr=0.1)
-        opt.step()
-        np.testing.assert_array_equal(p.data, [1.0, 1.0])
-
-    def test_zero_grad(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        p.grad = np.ones(2)
-        Adam([p], lr=0.1).zero_grad()
-        assert p.grad is None
+        np.testing.assert_allclose(p, [-0.01, 0.01, -0.01], rtol=1e-6)
 
     def test_state_round_trip(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
+        p = np.zeros(2)
         opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0, 1.0])
-        opt.step()
+        opt.step([np.array([1.0, 1.0])])
         snap = opt.get_state()
-        p.grad = np.array([-1.0, 2.0])
-        opt.step()
+        opt.step([np.array([-1.0, 2.0])])
         opt.set_state(snap)
         assert opt.t == 1
         np.testing.assert_array_equal(opt.m[0], (1.0 - 0.9) * np.ones(2))
@@ -381,15 +376,6 @@ class TestAdam:
     def test_lr_validation(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.0)
-
-
-def test_gradients_zero_for_unused_param():
-    used = Tensor(np.ones(2), requires_grad=True)
-    unused = Tensor(np.ones(3), requires_grad=True)
-    loss = used.sum()
-    g = gradients(loss, [used, unused])
-    np.testing.assert_array_equal(g[0], np.ones(2))
-    np.testing.assert_array_equal(g[1], np.zeros(3))
 
 
 class TestTrain:
@@ -465,9 +451,37 @@ class TestTrain:
                                epochs=3, minibatch=32, seed=0)
         assert report.diagnostics  # every epoch hits the poisoned batch
         assert report.best_epoch == -1
-        assert all(np.isfinite(p.data).all() for p in policy.params)
+        assert all(np.isfinite(p).all() for p in policy.params)
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, policy.get_state()))
+
+    def test_consecutive_rollbacks_restore_the_last_finite_epoch(
+            self, monkeypatch):
+        # validation fails at epochs 1 and 2, so epochs 2 and 3 must both
+        # start from the weights epoch 0 ended with
+        paths = _gbm_like_paths(20, seed=4)
+        spec = OptionSpec("european_call", maturity_days=8)
+        forward = MlpPolicy.__call__
+        starts = []
+
+        def recording_forward(policy, x):
+            starts.append(policy.get_state())
+            return forward(policy, x)
+
+        prices = iter([0.1, float("nan"), float("nan"), 0.1])
+        monkeypatch.setattr(MlpPolicy, "__call__", recording_forward)
+        monkeypatch.setattr(neuralnet, "policy_price",
+                            lambda *args: next(prices))
+        _, report = train(MlpPolicy(4, seed=0), paths, spec, ERM1, lr=1e-2,
+                          epochs=4, minibatch=16, seed=0)
+        assert len(starts) == 4  # 16 training paths: one minibatch an epoch
+        assert report.diagnostics == [
+            f"epoch {e}: non-finite evaluation, rolled back" for e in (1, 2)]
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(starts[0], starts[1]))
+        for epoch in (2, 3):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(starts[1], starts[epoch])), epoch
 
     def test_training_reduces_erm_price_on_gbm(self):
         # risk-averse enough (lam=10) that hedging has a visible in-sample

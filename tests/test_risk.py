@@ -14,7 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hedgelab.autodiff import Tensor
+from _reference import reference_minibatch_loss
+from hedgelab.hedge_core import features_matrix
+from hedgelab.instruments import OptionSpec
+from hedgelab.neuralnet import MlpPolicy, minibatch_loss
 from hedgelab.risk import RiskMeasure, cvar, erm, indifference_price, utility
 
 samples_arrays = hnp.arrays(
@@ -54,11 +57,26 @@ def test_cvar_sort_oracles():
 
 
 def test_cvar_tie_break_is_sample_order():
-    # duplicated minimum: gradient via take_rows must hit the earlier index
-    t = Tensor(np.array([5.0, -2.0, -2.0, 7.0]), requires_grad=True)
-    out = cvar(t, 0.75)  # tail size 1
-    out.backward()
-    np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0, 0.0])
+    # duplicated minimum PL: the training gradient must reach the earlier
+    # path only, as the reference engine's stable sort does.  The zero
+    # head holds no position, so PL = -payoff exactly, while each path's
+    # price moves give it its own gradient.
+    spec = OptionSpec("european_call", maturity_days=5)
+    measure = RiskMeasure("cvar", alpha=0.75)  # tail size 1 of 4
+    paths = np.exp(np.cumsum(np.random.default_rng(0).normal(
+        0.0, 0.01, (4, 6)), axis=1))
+    policy = MlpPolicy(4, seed=0)
+    feats = features_matrix(paths, spec)
+
+    def grads(payoffs, loss_fn=minibatch_loss):
+        loss = loss_fn(policy, feats, paths, np.array(payoffs), measure, 0.0)
+        assert loss.value == 2.0
+        return b"".join(g.tobytes() for g in loss.backward())
+
+    tied = grads([-5.0, 2.0, 2.0, -7.0])  # PL 5, -2, -2, 7
+    assert tied == grads([-5.0, 2.0, 2.0, -7.0], reference_minibatch_loss)
+    assert tied == grads([-5.0, 2.0, 1.5, -7.0])
+    assert tied != grads([-5.0, 1.5, 2.0, -7.0])
 
 
 def test_validation_errors():
