@@ -1,4 +1,4 @@
-"""Hedging profit-and-loss accounting, policy features and the delta baseline.
+"""Hedging profit-and-loss accounting and policy features.
 
 The per-path decomposition is
 
@@ -109,17 +109,3 @@ def features_matrix(paths: np.ndarray, spec: OptionSpec,
     if spec.is_lookback:
         cols.append(np.maximum.accumulate(paths, axis=1)[:, :n] / spec.strike)
     return np.stack(cols, axis=2)
-
-
-def delta_hedge_baseline_batch(paths: np.ndarray, spec: OptionSpec, vol: float) -> np.ndarray:
-    """Black-Scholes delta positions along each path at flat volatility ``vol``.
-
-    Applied unchanged to lookback contracts as a deliberately naive
-    baseline (European delta on the spot).
-    """
-    paths = np.asarray(paths, dtype=np.float64)
-    n = spec.maturity_days
-    out = np.empty((paths.shape[0], n))
-    for i in range(n):
-        out[:, i] = bs_delta(paths[:, i], spec.strike, vol, (n - i) / ANNUAL_DAYS)
-    return out

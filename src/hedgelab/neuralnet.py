@@ -8,8 +8,8 @@ zero: epoch 0 is exactly the unhedged position, which keeps tail-based
 measures (CVaR) from thrashing during warm-up.
 
 The forward pass is written once, ``MlpPolicy._forward``.  Pricing calls
-it over fixed row blocks (``forward_np``); training calls it through
-``__call__``, which keeps what the hand-derived MLP backward
+it over row blocks on all usable cores (``forward_np``); training calls
+it through ``__call__``, which keeps what the hand-derived MLP backward
 (``_backward``) needs.  ``minibatch_loss`` is one training step's loss
 and gradient: the risk measure and the PL differentiated in closed form,
 then that backward.  The backward works only on the rows whose position
@@ -25,6 +25,8 @@ caller that prices a trained policy.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,9 @@ LN_EPS = 1e-5
 # 8, so every block starts on the row boundaries of BLAS's unrolled
 # kernels, as in one unblocked call.
 FORWARD_BLOCK_ROWS = 1024
+# threads per ``forward_np`` call: the CPUs this process may run on
+FORWARD_THREADS = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 CHECKPOINT_VERSION = 1
 
 
@@ -180,23 +185,48 @@ class MlpPolicy:
         """Positions for a (batch, in_width) array, without a cache.
 
         Rows are independent, so ``_forward`` runs over blocks of
-        ``FORWARD_BLOCK_ROWS`` rows, each written into one preallocated
-        output.  A single row left after the last full block joins that
+        ``FORWARD_BLOCK_ROWS`` rows, each written into its own slice of one
+        preallocated output by this thread or, round-robin, one of
+        ``FORWARD_THREADS - 1`` helpers (numpy releases the GIL inside a
+        block).  A single row left after the last full block joins that
         block instead: numpy multiplies a one-row matrix with a
         matrix-vector kernel, which sums in another order than the
         matrix-matrix kernel of a longer block.  With BLAS at one thread
-        the bits therefore equal one unblocked ``_forward`` call's.
+        the bits therefore equal one unblocked ``_forward`` call's, at any
+        thread count.  The helpers are joined before the call returns.
         """
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ValueError(
                 f"expected (batch, {self.in_width}) features, got {x.shape}")
         n, b = x.shape[0], FORWARD_BLOCK_ROWS
         out = np.empty(n)
-        lo = 0
+        blocks, lo = [], 0
         while lo < n:
             hi = lo + b if n - lo > b + 1 else n
-            out[lo:hi] = self._forward(x[lo:hi])
+            blocks.append(slice(lo, hi))
             lo = hi
+        threads = max(1, min(FORWARD_THREADS, len(blocks)))
+        errors = []
+
+        def run(first):
+            try:
+                for rows in blocks[first::threads]:
+                    out[rows] = self._forward(x[rows])
+            except BaseException as exc:  # raised below, after the joins
+                errors.append(exc)
+
+        helpers = []
+        try:
+            for t in range(1, threads):
+                helper = threading.Thread(target=run, args=(t,))
+                helper.start()
+                helpers.append(helper)
+            run(0)
+        finally:
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
         return out
 
     def get_state(self) -> list:

@@ -1,4 +1,4 @@
-"""Path-batch serialization: CSV or .npy matrix plus a JSON sidecar.
+"""Path-batch output: CSV or .npy matrix plus a JSON sidecar.
 
 Rows are paths, columns t_0..t_n; the sidecar (same filename + .json)
 records whatever metadata the producer wants tied to the batch, config
@@ -9,13 +9,8 @@ rerun) is bit-faithful.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
-
-
-def _sidecar(path) -> str:
-    return str(path) + ".json"
 
 
 def save_paths(path, paths: np.ndarray, meta: dict) -> None:
@@ -30,25 +25,7 @@ def save_paths(path, paths: np.ndarray, meta: dict) -> None:
             fh.write(",".join(f"t_{i}" for i in range(paths.shape[1])) + "\n")
             for row in paths:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(_sidecar(path), "w") as fh:
+    with open(path + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
-
-def load_paths(path):
-    """Returns (paths, meta); meta is {} when no sidecar exists."""
-    path = str(path)
-    if path.endswith(".npy"):
-        paths = np.load(path)
-    else:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("t_0"):
-                raise ValueError(f"{path}: not a path-batch CSV")
-            paths = np.array([[float(v) for v in line.split(",")]
-                              for line in fh if line.strip()])
-    meta = {}
-    if os.path.exists(_sidecar(path)):
-        with open(_sidecar(path)) as fh:
-            meta = json.load(fh)
-    return paths, meta

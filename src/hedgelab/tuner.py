@@ -222,6 +222,10 @@ def default_assignment(generator: str, lr: float = 1e-3) -> dict:
     raise ValueError(f"unknown generator {generator!r}")
 
 
+class TrialFailed(ArithmeticError):
+    """A trial trained no finite epoch or priced to a non-finite value."""
+
+
 def evaluate_assignment(generator: str, assignment: dict, spec: OptionSpec,
                         measure: RiskMeasure, budget: StudyBudget,
                         eval_paths: np.ndarray, seed_parts) -> float:
@@ -235,10 +239,10 @@ def evaluate_assignment(generator: str, assignment: dict, spec: OptionSpec,
                            minibatch=budget.minibatch, seed=s_train,
                            cost_rate=budget.cost_rate)
     if report.best_epoch < 0:
-        raise ArithmeticError("no finite training epoch")
+        raise TrialFailed("no finite training epoch")
     price = policy_price(policy, eval_paths, spec, measure, budget.cost_rate)
     if not math.isfinite(price):
-        raise ArithmeticError("non-finite evaluation price")
+        raise TrialFailed("non-finite evaluation price")
     return price
 
 
@@ -350,7 +354,7 @@ def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
         except DegenerateSessionError:
             trial.status = "degenerate"
             trial.objective = math.inf
-        except (ArithmeticError, FloatingPointError, ValueError):
+        except TrialFailed:
             trial.status = "failed"
             trial.objective = math.inf
         trials.append(trial)

@@ -13,7 +13,9 @@ agent at a time; its tests pin the factor and order formulas.
 The per-path hedge accounting (compute_pl, HedgeOutcome), the per-prefix
 features and realized_vol, and the single-path delta_hedge_baseline are
 the one-path-at-a-time statements that the batch routines of
-hedgelab.hedge_core are checked against.
+hedgelab.hedge_core are checked against.  delta_hedge_baseline_batch is
+the Black-Scholes delta hedge that criterion 5 compares the trained
+policy with.  load_paths reads back what hedgelab.paths_io writes.
 
 Tensor is a minimal reverse-mode autodiff engine over float64 arrays,
 the one hedgelab trained with before its gradient was written out in
@@ -25,7 +27,9 @@ loss and parameter gradients bit for bit.
 """
 
 import csv
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -481,6 +485,43 @@ def delta_hedge_baseline(path: np.ndarray, spec: OptionSpec, vol: float) -> np.n
     for i in range(n):
         out[i] = bs_delta(float(path[i]), spec.strike, vol, taus[i])
     return out
+
+
+def delta_hedge_baseline_batch(paths: np.ndarray, spec: OptionSpec,
+                               vol: float) -> np.ndarray:
+    """Black-Scholes delta positions along each path at flat volatility ``vol``.
+
+    Applied unchanged to lookback contracts as a deliberately naive
+    baseline (European delta on the spot).
+    """
+    paths = np.asarray(paths, dtype=np.float64)
+    n = spec.maturity_days
+    out = np.empty((paths.shape[0], n))
+    for i in range(n):
+        out[:, i] = bs_delta(paths[:, i], spec.strike, vol, (n - i) / ANNUAL_DAYS)
+    return out
+
+
+# ------------------------------------------------------------- path files --
+
+def load_paths(path):
+    """Read a batch ``paths_io.save_paths`` wrote: (paths, meta), where
+    meta is {} when no sidecar exists."""
+    path = str(path)
+    if path.endswith(".npy"):
+        paths = np.load(path)
+    else:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("t_0"):
+                raise ValueError(f"{path}: not a path-batch CSV")
+            paths = np.array([[float(v) for v in line.split(",")]
+                              for line in fh if line.strip()])
+    meta = {}
+    if os.path.exists(path + ".json"):
+        with open(path + ".json") as fh:
+            meta = json.load(fh)
+    return paths, meta
 
 
 # ---------------------------------------------------- reverse-mode engine --

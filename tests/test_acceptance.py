@@ -15,10 +15,10 @@ import time
 import numpy as np
 import yaml
 
-from _reference import RefBook, make_order_stream
+from _reference import RefBook, delta_hedge_baseline_batch, make_order_stream
 from hedgelab.cli import main
-from hedgelab.hedge_core import (VolConfig, delta_hedge_baseline_batch,
-                                 feature_width, features_matrix, pl_core)
+from hedgelab.hedge_core import (VolConfig, feature_width, features_matrix,
+                                 pl_core)
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order, expire_orders, insert_order

@@ -11,9 +11,9 @@ import pytest
 import yaml
 
 import hedgelab
+from _reference import load_paths
 from hedgelab.cli import (DEFAULT_CONFIG, config_hash, load_config, main)
 from hedgelab.neuralnet import load_policy
-from hedgelab.paths_io import load_paths
 
 
 def _write_cfg(tmp_path, tree, name="config.yaml"):

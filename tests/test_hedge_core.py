@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import (compute_pl, compute_pl_batch, delta_hedge_baseline,
-                        features, realized_vol, write_outcomes_csv)
-from hedgelab.hedge_core import (VolConfig, delta_hedge_baseline_batch,
-                                 feature_width, features_matrix,
+                        delta_hedge_baseline_batch, features, realized_vol,
+                        write_outcomes_csv)
+from hedgelab.hedge_core import (VolConfig, feature_width, features_matrix,
                                  position_change_matrix)
 from hedgelab.instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec,
                                   bs_delta, payoff_batch)

@@ -1,9 +1,11 @@
 """Policy network, optimizer, and training-loop behavior."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -102,26 +104,51 @@ class TestMlpPolicy:
                                    rtol=1e-12, atol=1e-15)
 
 
-# Prices each case with the blocked ``forward_np`` and with one
-# unblocked ``_forward`` call and saves both to the npz named by argv[1].
+# Prices each case with one unblocked ``_forward`` call and with the
+# blocked ``forward_np`` on 1, 2 and 3 threads, and saves all of them to
+# the npz named by argv[1].
 _BLOCKED_FORWARD_CASES = """
 import sys
 import numpy as np
+from hedgelab import neuralnet
 from hedgelab.neuralnet import FORWARD_BLOCK_ROWS as B, MlpPolicy
 
+sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
 arrays = {}
 for width in (4, 5):
     policy = MlpPolicy(width, seed=width)
     rng = np.random.default_rng(width)
     policy.set_state([p + rng.normal(0.0, 0.5, p.shape)
                       for p in policy.get_state()])
-    # a batch below one block, then three blocks and a remainder
-    for rows in [B // 3 + 1] + [3 * B + r for r in (0, 1, 3, 8, B - 1)]:
+    # a batch below one block, then 1, 2, 3 and 7 blocks and a remainder
+    for rows in [B // 3 + 1] + [k * B + r for k in (1, 2, 3, 7)
+                                for r in (0, 1, B - 1)]:
         x = rng.normal(size=(rows, width))
-        arrays[f"{width}_{rows}_blocked"] = policy.forward_np(x)
         arrays[f"{width}_{rows}_whole"] = policy._forward(x)
+        for threads in (1, 2, 3):
+            neuralnet.FORWARD_THREADS = threads
+            arrays[f"{width}_{rows}_{threads}"] = policy.forward_np(x)
 np.savez(sys.argv[1], **arrays)
 """
+
+
+def _blocked_forward_cases(tmp_path, blas_threads: str) -> dict:
+    """{case: {"whole": ..., 1: ..., 2: ..., 3: ...}} at a BLAS thread
+    count fixed before numpy loads, in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               OMP_NUM_THREADS=blas_threads,
+               PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
+    out = tmp_path / "forward.npz"
+    subprocess.run([sys.executable, "-c", _BLOCKED_FORWARD_CASES, str(out)],
+                   env=env, check=True, timeout=120)
+    with np.load(out) as blob:
+        cases = {}
+        for key in blob.files:
+            case, run = key.rsplit("_", 1)
+            cases.setdefault(case, {})[
+                run if run == "whole" else int(run)] = blob[key]
+    assert len(cases) == 26
+    return cases
 
 
 class TestBlockedForward:
@@ -129,19 +156,16 @@ class TestBlockedForward:
         # OpenBLAS splits rows between its threads at points that depend
         # on the thread count, and rows past a split can round
         # differently, so only a one-thread BLAS fixes the reference bits
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
-        out = tmp_path / "forward.npz"
-        subprocess.run([sys.executable, "-c", _BLOCKED_FORWARD_CASES,
-                        str(out)], env=env, check=True, timeout=120)
-        with np.load(out) as blob:
-            cases = sorted(k[:-len("_blocked")] for k in blob.files
-                           if k.endswith("_blocked"))
-            assert len(cases) == 12
-            for case in cases:
-                blocked, whole = blob[case + "_blocked"], blob[case + "_whole"]
-                assert np.array_equal(blocked, whole), case
-                assert np.unique(whole).size > whole.size // 2
+        for case, runs in _blocked_forward_cases(tmp_path, "1").items():
+            whole = runs["whole"]
+            assert np.unique(whole).size > whole.size // 2
+            for threads in (1, 2, 3):
+                assert np.array_equal(runs[threads], whole), (case, threads)
+
+    def test_threads_change_no_bit_at_two_blas_threads(self, tmp_path):
+        for case, runs in _blocked_forward_cases(tmp_path, "2").items():
+            for threads in (2, 3):
+                assert np.array_equal(runs[threads], runs[1]), (case, threads)
 
     def test_wrong_width_raises_before_any_block(self):
         policy = MlpPolicy(4)
@@ -151,7 +175,40 @@ class TestBlockedForward:
                                match=r"expected \(batch, 4\) features"):
                 policy.forward_np(x)
 
-    def test_memory_is_one_block_deep(self):
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        policy = _randomized_policy()
+        forward, caller = policy._forward, threading.get_ident()
+        failed = []
+
+        def fail_in_a_helper(x):
+            if threading.get_ident() != caller:
+                failed.append(x.shape[0])
+                raise RuntimeError("block failed")
+            return forward(x)
+
+        monkeypatch.setattr(policy, "_forward", fail_in_a_helper)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            policy.forward_np(np.zeros((4 * FORWARD_BLOCK_ROWS, 4)))
+        assert failed == [FORWARD_BLOCK_ROWS]  # the helper stops at once
+        assert threading.active_count() == before
+
+    def test_forked_child_runs_the_forward(self, monkeypatch):
+        # no pool or thread outlives a call, so a child forked after one
+        # has none to wait on
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        policy = _randomized_policy()
+        x = np.random.default_rng(6).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
+        expected = policy.forward_np(x)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(policy.forward_np, (x,)).get(timeout=60)
+        assert np.array_equal(got, expected)
+
+    def test_memory_is_one_block_per_thread(self, monkeypatch):
+        # each thread holds one block's intermediates (about 3.5 arrays at
+        # a time); two threads fit the bound whatever the host's CPUs
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         policy = _randomized_policy()
         x = np.random.default_rng(3).normal(size=(50 * FORWARD_BLOCK_ROWS, 4))
         tracemalloc.start()

@@ -1,11 +1,13 @@
-"""Path-batch round-trips through CSV and .npy with JSON sidecars."""
+"""Path-batch round-trips through CSV and .npy with JSON sidecars, read
+back by the reference reader in ``_reference``."""
 
 import json
 
 import numpy as np
 import pytest
 
-from hedgelab.paths_io import load_paths, save_paths
+from _reference import load_paths
+from hedgelab.paths_io import save_paths
 
 
 def _batch(seed=0, shape=(5, 9)):

@@ -17,6 +17,12 @@ SPEC = OptionSpec("european_call", maturity_days=8)
 ERM1 = RiskMeasure("erm", lam=1.0)
 
 
+# a drift of 1e308 overflows every GBM path to inf, so the features, the
+# loss and every epoch are non-finite: such a trial fails
+OVERFLOWING_SPACE = SearchSpace({"lr": (1e-2,), "mu": (0.0, 1e308),
+                                 "sigma": (0.2,)})
+
+
 def _tiny_budget(**kw):
     base = dict(n_paths=64, epochs=1, minibatch=64, n_eval_paths=64)
     base.update(kw)
@@ -220,11 +226,11 @@ class TestStudy:
             [t.assignment for t in first.trials]
         assert len(read_ledger(ledger, space)) == 5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ledger_survives_failed_trials(self, tmp_path):
         # failed trials record objective inf; the ledger must read back
         # and resume through them
-        space = SearchSpace({"lr": (1e-2, 0.0), "mu": (0.0,),
-                             "sigma": (0.2,)})
+        space = OVERFLOWING_SPACE
         budget = _tiny_budget(n_paths=32, n_eval_paths=32)
         eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
                                  budget, seed=99)
@@ -267,12 +273,11 @@ class TestStudy:
         with pytest.raises(ValueError, match="header"):
             read_ledger(bad, SearchSpace.gbm())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_trials_rank_last(self, tmp_path):
-        # a grid containing lr=0 makes some trials fail outright (the
-        # optimizer rejects it); those must not abort the study and must
-        # sort behind every finished trial
-        space = SearchSpace({"lr": (1e-2, 0.0), "mu": (0.0,),
-                             "sigma": (0.2,)})
+        # trials whose paths overflow train no finite epoch; they must
+        # not abort the study and must sort behind every finished trial
+        space = OVERFLOWING_SPACE
         budget = _tiny_budget(n_paths=32, n_eval_paths=32)
         eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
                                  budget, seed=99)
@@ -330,5 +335,19 @@ class TestTrialLabels:
                                  budget, seed=0)
         monkeypatch.setattr(tuner, "trial_paths", unimplemented)
         with pytest.raises(NotImplementedError):
+            run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
+                      budget=budget, eval_paths=eval_paths, seed=0)
+
+    def test_value_errors_propagate(self, monkeypatch):
+        # a ValueError inside a trial is a bug or a bad input, not a
+        # failed trial, so the study stops instead of recording inf
+        def broken(*args, **kwargs):
+            raise ValueError("bad trial input")
+
+        budget = _tiny_budget()
+        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
+                                 budget, seed=0)
+        monkeypatch.setattr(tuner, "trial_paths", broken)
+        with pytest.raises(ValueError, match="bad trial input"):
             run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
                       budget=budget, eval_paths=eval_paths, seed=0)
