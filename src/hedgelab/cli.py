@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import hashlib
 import json
 import os
@@ -29,11 +30,11 @@ import yaml
 
 from . import __version__
 from .fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from .hedge_core import feature_width
-from .instruments import OptionSpec
+from .hedge_core import feature_width, features_matrix
+from .instruments import OptionSpec, payoff_batch
 from .market_data import extract_windows, load_series, stylized_stats, write_stats_csv
-from .neuralnet import (MlpPolicy, load_policy, policy_price, save_policy,
-                        train, write_report_csv)
+from .neuralnet import (MlpPolicy, _price_features, load_policy,
+                        policy_price, save_policy, train, write_report_csv)
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
@@ -382,22 +383,27 @@ def cmd_reproduce_table(args, cfg, base_spec, _measure, sim, out_dir) -> int:
     rows = []
     for d_idx, kind in enumerate(derivatives):
         spec = replace(base_spec, kind=kind)
-        for m_idx, measure in enumerate(measures):
-            policy, _ = _train_policy(cfg, spec, measure, sim,
-                                      _derive(seed, 8, d_idx, m_idx),
-                                      args.parallel)
-            for label, paths in eval_sets:
-                price = policy_price(policy, paths, spec, measure,
-                                     cfg["cost_rate"])
-                rows.append((kind, label, measure.label(),
-                             cfg["generator"], price))
-                print(f"{kind:14s} {label:12s} {measure.label():18s} "
-                      f"{price!r}")
+        policies = [_train_policy(cfg, spec, measure, sim,
+                                  _derive(seed, 8, d_idx, m_idx),
+                                  args.parallel)[0]
+                    for m_idx, measure in enumerate(measures)]
+        prices = {}
+        for label, paths in eval_sets:  # built after, not during, training
+            feats = features_matrix(paths, spec)
+            payoffs = payoff_batch(spec, paths)
+            for policy, measure in zip(policies, measures):
+                prices[measure, label] = _price_features(
+                    policy, feats, paths, payoffs, measure, cfg["cost_rate"])
+        del feats
+        rows += [(kind, label, measure.label(), cfg["generator"],
+                  prices[measure, label])
+                 for measure in measures for label, _ in eval_sets]
     out_path = os.path.join(out_dir, "results.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write("derivative,dataset,measure,generator,price\n")
         for kind, label, mlabel, gen, price in rows:
             fh.write(f"{kind},{label},{mlabel},{gen},{repr(price)}\n")
+            print(f"{kind:14s} {label:12s} {mlabel:18s} {price!r}")
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 
@@ -427,8 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def pin_blas() -> None:
+    """OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` is set (see the README's determinism contract)."""
+    if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ):
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(blas, name):
+                setter = getattr(blas, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas()
     try:
         cfg = load_config(args.config, environ=os.environ)
         for flag, key, commands in FLAGS:

@@ -23,7 +23,10 @@ closed form.  reference_minibatch_loss composes the training loss from
 its nodes, one per operation: the policy (reference_policy_graph, with
 relu, sqrt and div below), the PL (pl_graph) and the risk measure
 (erm_graph, cvar_graph).  neuralnet.minibatch_loss must reproduce its
-loss and parameter gradients bit for bit.
+loss and parameter gradients bit for bit.  reference_forward is the
+policy forward as one unblocked, allocating pass on one thread, with the
+cache MlpPolicy._backward reads; the blocked, threaded forwards of
+MlpPolicy must reproduce its positions and cache bit for bit.
 """
 
 import csv
@@ -814,6 +817,33 @@ def reference_policy_graph(params, x: np.ndarray) -> Tensor:
         h = relu(layer_norm(h @ wt + bt, gain, bias))
     head_w, head_b = params[12:]
     return (h @ head_w + head_b).reshape(-1)
+
+
+def reference_forward(policy, x: np.ndarray):
+    """(positions, cache) of ``policy`` for the (batch, in_width) ``x``:
+    per hidden block its input, the centered pre-activation, the row
+    std, the normalized activations and the ReLU mask, then the head's
+    input, each a fresh array."""
+    cache = []
+    h = x
+    for k in range(3):
+        wt, bt, gain, bias = policy.params[4 * k:4 * k + 4]
+        cache.append(h)
+        h = h @ wt
+        h += bt
+        centered = h - h.mean(axis=1, keepdims=True)
+        sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True)
+                     + LN_EPS)
+        h = centered / sd
+        cache += [centered, sd, h]
+        h = h * gain
+        h += bias
+        mask = h > 0.0
+        h *= mask
+        cache.append(mask)
+    cache.append(h)
+    head_w, head_b = policy.params[12:]
+    return (h @ head_w + head_b).reshape(-1), cache
 
 
 # ------------------------------------------------------------- loss graph --

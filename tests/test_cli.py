@@ -230,6 +230,47 @@ class TestColdStart:
         assert _special_loaded(tmp_path, [(command, tree)]) == [False, True]
 
 
+# Runs gen-paths through main in a fresh process and prints OpenBLAS's
+# thread count after it, or -1 if numpy's BLAS is not OpenBLAS.
+_BLAS_THREADS_AFTER_RUN = """
+import ctypes, sys
+import numpy as np
+from hedgelab.cli import main
+assert main(["gen-paths", "--paths", "5", "--out", sys.argv[1]]) == 0
+blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+for name in ("scipy_openblas_get_num_threads64_",
+             "openblas_get_num_threads64_", "openblas_get_num_threads"):
+    if hasattr(blas, name):
+        print(getattr(blas, name)())
+        break
+else:
+    print(-1)
+"""
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread unless the user chose a count;
+    a fresh process is needed, since BLAS reads its variables at load."""
+
+    @pytest.mark.parametrize("variables, expected", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "2"}, 2)])
+    def test_unset_means_one_thread(self, tmp_path, variables, expected):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("HEDGELAB__")
+               and k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(variables,
+                   PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_RUN,
+                               str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        threads = int(proc.stdout.splitlines()[-1])
+        if threads == -1:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert threads == expected
+
+
 class TestFlagsInManifest:
     def test_train_flags_match_checkpoint_hash(self, tmp_path):
         out = tmp_path / "out"
@@ -482,3 +523,33 @@ class TestReproduceTable:
         assert measures == {"erm(lambda=1)", "erm(lambda=10)",
                             "cvar(alpha=0.9)", "cvar(alpha=0.95)",
                             "cvar(alpha=0.99)"}
+
+    def test_each_eval_set_is_featurized_once_per_derivative(
+            self, tmp_path, monkeypatch, capsys):
+        # rows (and stdout) run derivative, then measure, then eval set,
+        # while each derivative's five policies are priced one eval set
+        # at a time from that set's features
+        from hedgelab import cli
+        calls = []
+        featurize = cli.features_matrix
+        monkeypatch.setattr(cli, "features_matrix", lambda paths, spec: (
+            calls.append((spec.kind, paths.shape[0])),
+            featurize(paths, spec))[1])
+        cfg = _write_cfg(tmp_path, {
+            "train": {"paths": 30, "epochs": 1, "minibatch": 64},
+            "eval": {"n_paths": 25}})
+        out = tmp_path / "out"
+        assert main(["reproduce-table", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert calls == ([("european_call", 25)] * 2
+                         + [("lookback_call", 25)] * 2)
+        rows = [l.split(",") for l in
+                (out / "results.csv").read_text().strip().split("\n")[1:]]
+        measures = ["erm(lambda=1)", "erm(lambda=10)", "cvar(alpha=0.9)",
+                    "cvar(alpha=0.95)", "cvar(alpha=0.99)"]
+        assert [r[:3] for r in rows] == [
+            [kind, label, m] for kind in ("european_call", "lookback_call")
+            for m in measures for label in ("development", "test")]
+        printed = capsys.readouterr().out.strip().split("\n")
+        assert [line.split() for line in printed[:-1]] == [
+            [kind, label, m, price] for kind, label, m, _, price in rows]

@@ -104,12 +104,14 @@ class TestMlpPolicy:
                                    rtol=1e-12, atol=1e-15)
 
 
-# Prices each case with one unblocked ``_forward`` call and with the
-# blocked ``forward_np`` on 1, 2 and 3 threads, and saves all of them to
-# the npz named by argv[1].
+# Runs each case through one unblocked reference forward and, on 1, 2
+# and 3 threads, through the blocked pricing forward ``forward_np`` and
+# the training forward ``__call__``, and saves all of them to the npz
+# named by argv[1].
 _BLOCKED_FORWARD_CASES = """
 import sys
 import numpy as np
+from _reference import reference_forward
 from hedgelab import neuralnet
 from hedgelab.neuralnet import FORWARD_BLOCK_ROWS as B, MlpPolicy
 
@@ -124,29 +126,38 @@ for width in (4, 5):
     for rows in [B // 3 + 1] + [k * B + r for k in (1, 2, 3, 7)
                                 for r in (0, 1, B - 1)]:
         x = rng.normal(size=(rows, width))
-        arrays[f"{width}_{rows}_whole"] = policy._forward(x)
+        arrays[f"{width}_{rows}_whole"] = reference_forward(policy, x)[0]
         for threads in (1, 2, 3):
             neuralnet.FORWARD_THREADS = threads
-            arrays[f"{width}_{rows}_{threads}"] = policy.forward_np(x)
+            arrays[f"{width}_{rows}_np{threads}"] = policy.forward_np(x)
+            arrays[f"{width}_{rows}_call{threads}"] = policy(x)[0]
 np.savez(sys.argv[1], **arrays)
 """
 
 
+def _subprocess_env(blas_threads: str) -> dict:
+    """The environment of a fresh interpreter that imports hedgelab and
+    the tests' modules, with BLAS at ``blas_threads`` threads from the
+    start."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                OMP_NUM_THREADS=blas_threads,
+                PYTHONPATH=os.pathsep.join(
+                    [str(Path(hedgelab.__file__).parents[1]),
+                     str(Path(__file__).parent)]))
+
+
 def _blocked_forward_cases(tmp_path, blas_threads: str) -> dict:
-    """{case: {"whole": ..., 1: ..., 2: ..., 3: ...}} at a BLAS thread
-    count fixed before numpy loads, in a fresh interpreter."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               OMP_NUM_THREADS=blas_threads,
-               PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
+    """{case: {"whole": ..., "np1": ..., "call1": ..., ...}} at a BLAS
+    thread count fixed before numpy loads, in a fresh interpreter."""
     out = tmp_path / "forward.npz"
     subprocess.run([sys.executable, "-c", _BLOCKED_FORWARD_CASES, str(out)],
-                   env=env, check=True, timeout=120)
+                   env=_subprocess_env(blas_threads), check=True,
+                   timeout=120)
     with np.load(out) as blob:
         cases = {}
         for key in blob.files:
             case, run = key.rsplit("_", 1)
-            cases.setdefault(case, {})[
-                run if run == "whole" else int(run)] = blob[key]
+            cases.setdefault(case, {})[run] = blob[key]
     assert len(cases) == 26
     return cases
 
@@ -159,13 +170,16 @@ class TestBlockedForward:
         for case, runs in _blocked_forward_cases(tmp_path, "1").items():
             whole = runs["whole"]
             assert np.unique(whole).size > whole.size // 2
-            for threads in (1, 2, 3):
-                assert np.array_equal(runs[threads], whole), (case, threads)
+            for run in ("np1", "np2", "np3", "call1", "call2", "call3"):
+                assert np.array_equal(runs[run], whole), (case, run)
 
     def test_threads_change_no_bit_at_two_blas_threads(self, tmp_path):
         for case, runs in _blocked_forward_cases(tmp_path, "2").items():
-            for threads in (2, 3):
-                assert np.array_equal(runs[threads], runs[1]), (case, threads)
+            for forward in ("np", "call"):
+                for threads in (2, 3):
+                    assert np.array_equal(runs[f"{forward}{threads}"],
+                                          runs[f"{forward}1"]), (
+                        case, forward, threads)
 
     def test_wrong_width_raises_before_any_block(self):
         policy = MlpPolicy(4)
@@ -176,23 +190,13 @@ class TestBlockedForward:
                 policy.forward_np(x)
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
-        policy = _randomized_policy()
-        forward, caller = policy._forward, threading.get_ident()
-        failed = []
+        # forward_np's 4 blocks go to the caller and a helper in turn, so
+        # the helper fails on the second
+        _fail_in_a_helper(monkeypatch, "forward_np", FORWARD_BLOCK_ROWS)
 
-        def fail_in_a_helper(x):
-            if threading.get_ident() != caller:
-                failed.append(x.shape[0])
-                raise RuntimeError("block failed")
-            return forward(x)
-
-        monkeypatch.setattr(policy, "_forward", fail_in_a_helper)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed"):
-            policy.forward_np(np.zeros((4 * FORWARD_BLOCK_ROWS, 4)))
-        assert failed == [FORWARD_BLOCK_ROWS]  # the helper stops at once
-        assert threading.active_count() == before
+    def test_helper_error_in_training_reaches_the_caller(self, monkeypatch):
+        # the training forward gives each of the 2 threads one block
+        _fail_in_a_helper(monkeypatch, "__call__", 2 * FORWARD_BLOCK_ROWS)
 
     def test_forked_child_runs_the_forward(self, monkeypatch):
         # no pool or thread outlives a call, so a child forked after one
@@ -205,9 +209,18 @@ class TestBlockedForward:
             got = pool.apply_async(policy.forward_np, (x,)).get(timeout=60)
         assert np.array_equal(got, expected)
 
+    def test_forked_child_trains_after_train(self, monkeypatch):
+        # the training forward's helpers are gone once train returns
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        expected = _train_state()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_train_state).get(timeout=120)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
     def test_memory_is_one_block_per_thread(self, monkeypatch):
-        # each thread holds one block's intermediates (about 3.5 arrays at
-        # a time); two threads fit the bound whatever the host's CPUs
+        # each thread holds one block's scratch (three float arrays, a
+        # mask and the std); two threads fit the bound whatever the
+        # host's CPUs
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         policy = _randomized_policy()
         x = np.random.default_rng(3).normal(size=(50 * FORWARD_BLOCK_ROWS, 4))
@@ -220,6 +233,59 @@ class TestBlockedForward:
             tracemalloc.stop()
         block_array = FORWARD_BLOCK_ROWS * HIDDEN_WIDTH * 8
         assert peak <= out.nbytes + 8 * block_array
+
+    def test_training_forward_holds_its_cache_and_one_block_per_thread(
+            self, monkeypatch):
+        # the cache is filled in place: beyond it and the positions, each
+        # of the 2 threads holds at most one (block, 32) float array
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        policy = _randomized_policy()
+        n = 5 * FORWARD_BLOCK_ROWS
+        x = np.random.default_rng(3).normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out, _ = policy(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per hidden block: three float and one bool (n, 32) arrays and
+        # the (n, 1) std
+        cache_bytes = 3 * n * ((3 * 8 + 1) * HIDDEN_WIDTH + 8)
+        block_array = (n // 2) * HIDDEN_WIDTH * 8
+        assert peak <= cache_bytes + out.nbytes + 2 * block_array
+
+
+def _fail_in_a_helper(monkeypatch, forward, helper_rows):
+    """Runs ``policy.<forward>`` on 2 threads over 4 blocks' rows with a
+    block routine that fails on the helper thread."""
+    monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+    policy = _randomized_policy()
+    block, caller = policy._forward, threading.get_ident()
+    failed = []
+
+    def fail_in_a_helper(cache, out):
+        if threading.get_ident() != caller:
+            failed.append(out.shape[0])
+            raise RuntimeError("block failed")
+        block(cache, out)
+
+    monkeypatch.setattr(policy, "_forward", fail_in_a_helper)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        getattr(policy, forward)(np.zeros((4 * FORWARD_BLOCK_ROWS, 4)))
+    assert failed == [helper_rows]  # the helper stops at once
+    assert threading.active_count() == before
+
+
+def _train_state():
+    """Weights after a small two-epoch CVaR training of 64-path
+    minibatches."""
+    policy, _ = train(MlpPolicy(4, seed=5), _gbm_like_paths(300, seed=12),
+                      OptionSpec("european_call", maturity_days=8),
+                      RiskMeasure("cvar", alpha=0.8), lr=1e-2, epochs=2,
+                      minibatch=64, seed=2)
+    return policy.get_state()
 
 
 def test_layer_norm_standardizes_rows():
@@ -341,17 +407,40 @@ def test_policy_node_gradients_equal_reference_graph(
 
 
 # Losses and gradients at the benchmark's minibatch shape (256 paths x 20
-# steps), from minibatch_loss and from the reference graph, saved to the
-# npz named by argv[1].  Rows past a few dozen reach OpenBLAS's
-# large-shape kernels, which the hypothesis test above never does.
+# steps), from the reference graph and from minibatch_loss on 1, 2 and 3
+# threads, saved to the npz named by argv[1].  Rows past a few dozen
+# reach OpenBLAS's large-shape kernels, which the hypothesis test above
+# never does.  The training forward's positions and cache arrays are
+# saved as digests, beside those of one unblocked reference forward.
 _MINIBATCH_GRADIENT_CASES = """
+import hashlib
 import sys
 import numpy as np
+from _reference import reference_forward
+from hedgelab import neuralnet
+from hedgelab.hedge_core import features_matrix
 from hedgelab.instruments import OptionSpec
 from hedgelab.neuralnet import MlpPolicy
 from hedgelab.risk import RiskMeasure
 from test_neuralnet import _both_losses, _gbm_like_paths
 
+sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+forward, backward, seen = MlpPolicy.__call__, MlpPolicy._backward, []
+
+def recording_forward(policy, x):
+    out, grads = forward(policy, x)
+    seen.append(out)
+    return out, grads
+
+def recording_backward(policy, g, cache):
+    seen.extend(cache)
+    return backward(policy, g, cache)
+
+def digests(arrays):
+    return np.array([f"{a.dtype}{a.shape}" + hashlib.sha256(a.tobytes())
+                     .hexdigest() for a in arrays])
+
+MlpPolicy.__call__, MlpPolicy._backward = recording_forward, recording_backward
 cvar = RiskMeasure("cvar", alpha=0.95)
 cases = [(w, cvar, c) for w in (4, 5) for c in (0.0, 0.002)]
 cases += [(4, RiskMeasure("erm", lam=1.0), 0.002),
@@ -366,34 +455,69 @@ for i, (width, measure, cost_rate) in enumerate(cases):
     rng = np.random.default_rng(i)
     policy.set_state([p + rng.normal(0.0, 0.3, p.shape)
                       for p in policy.get_state()])
-    (loss, fused), (ref_loss, graph) = _both_losses(policy, paths, spec,
-                                                    measure, cost_rate)
-    arrays[f"{i}_loss_fused"], arrays[f"{i}_loss_graph"] = loss, ref_loss
-    for j, (a, b) in enumerate(zip(fused, graph)):
-        arrays[f"{i}_{j}_fused"], arrays[f"{i}_{j}_graph"] = a, b
+    out, cache = reference_forward(
+        policy, features_matrix(paths, spec).reshape(-1, width))
+    arrays[f"{i}_forward_whole"] = digests([out] + cache)
+    for threads in (1, 2, 3):
+        neuralnet.FORWARD_THREADS = threads
+        seen.clear()
+        (loss, fused), (ref_loss, graph) = _both_losses(policy, paths, spec,
+                                                        measure, cost_rate)
+        # the fused loss records its positions and, at backward(), its
+        # cache; the reference graph records neither
+        assert len(seen) == 17
+        arrays[f"{i}_forward_{threads}"] = digests(seen)
+        arrays[f"{i}_loss_{threads}"] = loss
+        for j, a in enumerate(fused):
+            arrays[f"{i}_{j}_{threads}"] = a
+    arrays[f"{i}_loss_graph"] = ref_loss
+    for j, b in enumerate(graph):
+        arrays[f"{i}_{j}_graph"] = b
 np.savez(sys.argv[1], **arrays)
 """
 
 
-def test_minibatch_gradients_equal_reference_graph(tmp_path):
-    # one BLAS thread fixes the reference bits (see TestBlockedForward)
-    tests_dir = Path(__file__).parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(Path(hedgelab.__file__).parents[1]),
-                    str(tests_dir)]))
+def _minibatch_cases(tmp_path, blas_threads: str) -> dict:
+    """{name: {"graph": ..., "1": ..., "2": ..., "3": ...}}: per case, its
+    loss, its 14 gradients and its forward digests, at a BLAS thread
+    count fixed before numpy loads, in a fresh interpreter."""
     out = tmp_path / "gradients.npz"
     subprocess.run([sys.executable, "-c", _MINIBATCH_GRADIENT_CASES,
-                    str(out)], env=env, check=True, timeout=300)
+                    str(out)], env=_subprocess_env(blas_threads), check=True,
+                   timeout=600)
     with np.load(out) as blob:
-        names = sorted(k[:-len("_fused")] for k in blob.files
-                       if k.endswith("_fused"))
-        assert len(names) == 7 * (1 + 14)
-        for name in names:
-            fused, graph = blob[name + "_fused"], blob[name + "_graph"]
+        cases = {}
+        for key in blob.files:
+            name, run = key.rsplit("_", 1)
+            cases.setdefault(name, {})[run] = blob[key]
+    assert len(cases) == 7 * (1 + 14 + 1)
+    return cases
+
+
+def test_minibatch_gradients_equal_reference_graph(tmp_path):
+    # one BLAS thread fixes the reference bits (see TestBlockedForward)
+    for name, runs in _minibatch_cases(tmp_path, "1").items():
+        if name.endswith("_forward"):
+            # the training forward's positions and 16 cache arrays
+            assert runs["whole"].size == 17
+            for threads in ("1", "2", "3"):
+                assert np.array_equal(runs[threads], runs["whole"]), (
+                    name, threads)
+            continue
+        graph = runs["graph"]
+        assert np.any(graph != 0.0), name
+        for threads in ("1", "2", "3"):
+            fused = runs[threads]
             assert fused.shape == graph.shape
-            assert fused.tobytes() == graph.tobytes(), name
-            assert np.any(fused != 0.0), name
+            assert fused.tobytes() == graph.tobytes(), (name, threads)
+
+
+def test_training_step_threads_change_no_bit_at_two_blas_threads(tmp_path):
+    for name, runs in _minibatch_cases(tmp_path, "2").items():
+        for threads in ("2", "3"):
+            assert runs[threads].shape == runs["1"].shape
+            assert runs[threads].tobytes() == runs["1"].tobytes(), (
+                name, threads)
 
 
 def test_train_on_reference_graph_is_byte_identical(monkeypatch):
@@ -527,7 +651,7 @@ class TestTrain:
 
         prices = iter([0.1, float("nan"), float("nan"), 0.1])
         monkeypatch.setattr(MlpPolicy, "__call__", recording_forward)
-        monkeypatch.setattr(neuralnet, "policy_price",
+        monkeypatch.setattr(neuralnet, "_price_features",
                             lambda *args: next(prices))
         _, report = train(MlpPolicy(4, seed=0), paths, spec, ERM1, lr=1e-2,
                           epochs=4, minibatch=16, seed=0)
