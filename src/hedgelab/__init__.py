@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                          run_session, simulate_paths)
-from .hedge_core import VolConfig, feature_width, features_matrix, pl_core
+from .hedge_core import feature_width, features_matrix, pl_core
 from .instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec, bs_delta,
                           bs_price, payoff, payoff_batch)
 from .lob import Book, Fill, Order, expire_orders, insert_order, uncross

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import hashlib
 import json
 import os
@@ -33,8 +32,9 @@ from .fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from .hedge_core import feature_width, features_matrix
 from .instruments import OptionSpec, payoff_batch
 from .market_data import extract_windows, load_series, stylized_stats, write_stats_csv
-from .neuralnet import (MlpPolicy, _price_features, load_policy,
-                        policy_price, save_policy, train, write_report_csv)
+from .neuralnet import (MlpPolicy, _openblas_function, _price_features,
+                        load_policy, policy_price, save_policy, train,
+                        write_report_csv)
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
@@ -437,14 +437,9 @@ def pin_blas() -> None:
     """OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` or
     ``OMP_NUM_THREADS`` is set (see the README's determinism contract)."""
     if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ):
-        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        for name in ("scipy_openblas_set_num_threads64_",
-                     "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(blas, name):
-                setter = getattr(blas, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+        setter = _openblas_function("set_num_threads")
+        if setter is not None:
+            setter(1)
 
 
 def main(argv=None) -> int:

@@ -15,22 +15,17 @@ the formula once, for the training loss and the reported outcomes alike;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .instruments import OptionSpec, bs_delta
 
 ANNUAL_DAYS = 250
-
-
-@dataclass(frozen=True)
-class VolConfig:
-    """Trailing realized-vol estimator settings for the policy features."""
-
-    prior: float = 0.2
-    blend_min_returns: int = 5
-    floor: float = 1e-4
+# the policy features' trailing realized vol: the prior it starts from,
+# the number of log returns over which it blends toward the sample std,
+# and its floor
+VOL_PRIOR = 0.2
+VOL_BLEND_MIN_RETURNS = 5
+VOL_FLOOR = 1e-4
 
 
 def position_change_matrix(n_steps: int) -> np.ndarray:
@@ -68,16 +63,16 @@ def feature_width(spec: OptionSpec) -> int:
     return 5 if spec.is_lookback else 4
 
 
-def features_matrix(paths: np.ndarray, spec: OptionSpec,
-                    cfg: VolConfig = VolConfig()) -> np.ndarray:
+def features_matrix(paths: np.ndarray, spec: OptionSpec) -> np.ndarray:
     """Policy features for every path and step before maturity: (B, n, width).
 
     Row (b, i) sees prices S_0..S_i only.  Order: moneyness, time to
     maturity (years), trailing realized vol, BS delta at that vol, plus
     running max moneyness for lookback contracts.  The vol is the
-    annualized std of the log returns so far, blended toward ``cfg.prior``
-    while fewer than ``cfg.blend_min_returns`` exist and floored at
-    ``cfg.floor``.  The tests check it against a per-prefix reference.
+    annualized std of the log returns so far, blended toward
+    ``VOL_PRIOR`` while fewer than ``VOL_BLEND_MIN_RETURNS`` exist and
+    floored at ``VOL_FLOOR``.  The tests check it against a per-prefix
+    reference.
     """
     paths = np.asarray(paths, dtype=np.float64)
     b, n_plus = paths.shape
@@ -91,14 +86,14 @@ def features_matrix(paths: np.ndarray, spec: OptionSpec,
     csum = np.cumsum(r, axis=1)
     csq = np.cumsum(r * r, axis=1)
     counts = steps.astype(np.float64)           # returns available at step i
-    vols = np.full((b, n), cfg.prior)
+    vols = np.full((b, n), VOL_PRIOR)
     have = counts > 0
     m1 = csum[:, :-1] / np.maximum(counts[1:], 1.0)
     m2 = csq[:, :-1] / np.maximum(counts[1:], 1.0)
     sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0)) * np.sqrt(ANNUAL_DAYS)
-    w = np.minimum(counts[1:] / cfg.blend_min_returns, 1.0)
-    vols[:, have] = w * sd + (1.0 - w) * cfg.prior
-    vols = np.maximum(vols, cfg.floor)
+    w = np.minimum(counts[1:] / VOL_BLEND_MIN_RETURNS, 1.0)
+    vols[:, have] = w * sd + (1.0 - w) * VOL_PRIOR
+    vols = np.maximum(vols, VOL_FLOOR)
 
     taus = (n - steps) / ANNUAL_DAYS            # (n,)
     deltas = np.empty((b, n))

@@ -8,15 +8,17 @@ zero: epoch 0 is exactly the unhedged position, which keeps tail-based
 measures (CVaR) from thrashing during warm-up.
 
 The forward pass is written once, ``MlpPolicy._forward``, for one row
-block, and ``_fan_out`` deals the blocks to every usable core.  Pricing
-(``forward_np``) runs cache-sized blocks on scratch; training
-(``__call__``) runs one block per core into the full-size cache that the
+block, and ``_fan_out``, the one loop that hands work to every usable
+core, runs the blocks.  Pricing (``forward_np``) runs cache-sized blocks
+on scratch; training (``__call__``) runs one block per core into the
+full-size cache, which ``train`` owns and refills, and which the
 hand-derived MLP backward (``_backward``) reads.  ``minibatch_loss`` is
 one training step's loss and gradient: the risk measure and the PL
-differentiated in closed form, then that backward.  The backward works
-only on the rows whose position gradient is non-zero (under CVaR, the
-tail paths' rows) and keeps its matrix products at the full batch shape,
-so its bits equal a dense pass's.
+differentiated in closed form, then that backward.  The backward's chain
+works only on the rows whose position gradient is non-zero (under CVaR,
+the tail paths' rows), its products into the next block too where the
+bits allow it, and the same loop runs its four full-shape weight
+products beside the chain, so its bits equal a dense serial pass's.
 
 ``policy_price`` is the one pricing pass (features -> policy
 -> PL -> indifference price); its step from built features,
@@ -26,6 +28,7 @@ them across epochs and policies.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -52,9 +55,13 @@ LN_EPS = 1e-5
 # 8, so every block starts on the row boundaries of BLAS's unrolled
 # kernels, as in one unblocked call.
 FORWARD_BLOCK_ROWS = 1024
-# threads per forward call: the CPUs this process may run on
+# threads per forward or backward call: the CPUs this process may run on
 FORWARD_THREADS = (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# Batch rows from which the backward's product into the next block runs
+# on the non-zero rows only (see ``MlpPolicy._chain``): above the 38 rows
+# where OpenBLAS switches kernels, with margin.
+GATHER_MIN_BATCH_ROWS = 64
 CHECKPOINT_VERSION = 1
 
 
@@ -112,7 +119,35 @@ class MlpPolicy:
         """Gradient of each parameter, in ``params`` order, given the
         gradient ``g`` of the positions ``_forward`` cached.
 
-        Head, then 3 x (ReLU mask -> layer norm -> affine) in reverse.
+        The caller runs the chain (``_chain``) from the head back to the
+        first block; each weight gradient's product goes to a helper
+        thread as soon as the chain has its operands, and once the chain
+        ends the caller takes its share of the products still queued.
+        Each product's operands and shape are those of a serial pass, so
+        its bits do not depend on the thread that runs it.  When BLAS
+        runs more than one thread, the caller runs the products itself:
+        their BLAS threads and the chain's then contend for the cores,
+        and on a 2-vCPU host at two BLAS threads criterion 4's ERM
+        training took 135-151 s with the products beside the chain and
+        57 s without.
+        """
+        grads = [None] * len(self.params)
+
+        def weight_gradient(item):
+            i, a, b = item
+            grads[i] = a @ b
+
+        chain = self._chain(g.reshape(-1, 1), cache, grads)
+        # the head's and the 3 blocks' products
+        _fan_out(weight_gradient, chain, 4 if _blas_threads() == 1 else 1)
+        return grads
+
+    def _chain(self, g: np.ndarray, cache: list, grads: list):
+        """Head, then 3 x (ReLU mask -> layer norm -> affine) in reverse:
+        the non-product gradients go straight into ``grads``, and each
+        weight gradient is yielded as ``(index, a, b)``, ``grads[index] =
+        a @ b``, for ``_backward`` to hand out.
+
         Each step is the product or sum that reverse-mode differentiation
         of the forward composed from elementary autodiff nodes performs,
         in the same order (the centered activations collect their
@@ -125,24 +160,32 @@ class MlpPolicy:
         zero row adds only signed zeros, and numpy's sums start from +0,
         so the sums keep their bits.  (A non-finite activation in a zero
         row would have made them NaN; it reaches the head's input, so
-        the dense head gradient is NaN either way.)  The matrix products
-        do not keep their bits: OpenBLAS picks its kernel by shape, so
-        they keep the full ``(n, .)`` shape, on the gathered rows
-        scattered into zeros, and the head stays dense.  When every row
-        is non-zero nothing is gathered.
+        the dense head gradient is NaN either way.)  The weight
+        gradients sum over rows, and OpenBLAS picks their kernel by
+        shape, so they keep the full ``(n, .)`` shape, the non-zero rows
+        scattered into zeros.  The head's outer product (K = 1) has one
+        multiplication per element, so it runs on the non-zero rows.  So
+        does the product into the next block, as ``rows @ W^T`` with a
+        contiguous ``W^T``, when the batch has at least
+        ``GATHER_MIN_BATCH_ROWS`` rows and at least 2 rows are non-zero:
+        at one BLAS thread, ``(m, 32) @ W.T`` through the transposed view
+        switches kernels at 38 rows, and from there on its rows equal the
+        gathered product's, while a single row goes through numpy's
+        matrix-vector path.  Otherwise that product is the dense one.
+        When every row is non-zero nothing is gathered.
         """
         inv_w = 1.0 / HIDDEN_WIDTH
         head_w, _ = self._layers[-1]
-        g = g.reshape(-1, 1)
         n = g.shape[0]
-        grads = [cache[-1].T @ g, g.sum(axis=0)]
+        yield 12, cache[-1].T, g
+        grads[13] = g.sum(axis=0)
         nonzero = np.flatnonzero(g)
         sparse = nonzero.size < n
+        gather = sparse and n >= GATHER_MIN_BATCH_ROWS and nonzero.size >= 2
         rows = nonzero if sparse else slice(None)
-        g = (g @ head_w.T)[rows]
+        g = g[rows] @ head_w.T
         for k in (2, 1, 0):
             wt, _, gain, _ = self._layers[k]
-            h = cache[5 * k]
             centered, sd, q, mask = (a[rows]
                                      for a in cache[5 * k + 1:5 * k + 5])
             g = g * mask
@@ -159,28 +202,33 @@ class MlpPolicy:
             if sparse:
                 full = np.zeros((n, HIDDEN_WIDTH))
                 full[rows] = g
-            grads = [h.T @ full, g.sum(axis=0), d_gain, d_bias] + grads
+            yield 4 * k, cache[5 * k].T, full
+            grads[4 * k + 1:4 * k + 4] = g.sum(axis=0), d_gain, d_bias
             if k:
-                g = (full @ wt.T)[rows]
-        return grads
+                g = (g @ np.ascontiguousarray(wt.T) if gather
+                     else (full @ wt.T)[rows])
 
     def _check(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.in_width:
             raise ValueError(
                 f"expected (batch, {self.in_width}) features, got {x.shape}")
 
-    def __call__(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray, arrays: list | None = None):
         """Positions for a (batch, in_width) feature array, and the
         function that maps their gradient to the parameters' gradients.
-        One block (a multiple of 8 rows) per thread fills the cache: on a
-        2-vCPU Xeon a 5120-row minibatch took 6.0-7.5 ms serial, and on
-        two threads 4.2-5.6 ms in 1024-row, 3.9-4.2 in 2560-row blocks."""
+        ``arrays`` are cache arrays for as many rows to fill in place (an
+        earlier call's gradient function on them must not run again), or
+        None for new ones.  One block (a multiple of 8 rows) per thread
+        fills the cache: on a 2-vCPU Xeon a 5120-row minibatch took
+        6.0-7.5 ms serial, and on two threads 4.2-5.6 ms in 1024-row,
+        3.9-4.2 in 2560-row blocks."""
         self._check(x)
         n = x.shape[0]
-        cache = [x] + _scratch(n) + _scratch(n) + _scratch(n)
+        cache = [x] + (_training_arrays(n) if arrays is None else arrays)
         out = np.empty(n)
-        _fan_out(n, 8 * -(-n // (8 * FORWARD_THREADS)), lambda rows:
-                 self._forward([a[rows] for a in cache], out[rows]))
+        blocks = _row_blocks(n, 8 * -(-n // (8 * FORWARD_THREADS)))
+        _fan_out(lambda rows: self._forward([a[rows] for a in cache],
+                                            out[rows]), blocks, len(blocks))
         return out, lambda g: self._backward(g, cache)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
@@ -189,8 +237,10 @@ class MlpPolicy:
         layers share (three (block, 32) float arrays)."""
         self._check(x)
         out = np.empty(x.shape[0])
-        _fan_out(x.shape[0], FORWARD_BLOCK_ROWS, lambda rows: self._forward(
-            [x[rows]] + _scratch(rows.stop - rows.start) * 3, out[rows]))
+        blocks = _row_blocks(x.shape[0], FORWARD_BLOCK_ROWS)
+        _fan_out(lambda rows: self._forward(
+            [x[rows]] + _scratch(rows.stop - rows.start) * 3, out[rows]),
+            blocks, len(blocks))
         return out
 
     def get_state(self) -> list:
@@ -215,41 +265,88 @@ def _scratch(n: int) -> list:
             np.empty((n, w), dtype=bool), np.empty((n, w))]
 
 
-def _fan_out(n: int, block_rows: int, work) -> None:
-    """``work(rows)`` for each block of ``block_rows`` of rows ``0..n``,
-    dealt round-robin to this thread and up to ``FORWARD_THREADS - 1``
-    helpers started for the call (numpy releases the GIL inside a block).
-    A single leftover row joins the last block, since numpy multiplies a
-    one-row matrix with a matrix-vector kernel that sums in another
-    order.  With blocks starting on multiples of 8 and BLAS at one
-    thread, each row's bits equal one unblocked pass's at any thread
-    count.  The helpers are joined before the call returns, and a
-    helper's exception is raised here."""
+@functools.cache
+def _openblas_function(suffix: str):
+    """OpenBLAS's ``*_<suffix>`` function in numpy's BLAS, as a ctypes
+    function returning an int, or None when numpy links another BLAS."""
+    import ctypes
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in (f"scipy_openblas_{suffix}64_", f"openblas_{suffix}64_",
+                 f"openblas_{suffix}"):
+        if hasattr(blas, name):
+            return getattr(blas, name)
+    return None
+
+
+def _blas_threads() -> int:
+    """OpenBLAS's thread count at this moment (``cli.pin_blas`` sets it
+    after import), or 1 under another BLAS."""
+    getter = _openblas_function("get_num_threads")
+    return 1 if getter is None else getter()
+
+
+def _training_arrays(n: int) -> list:
+    """The training forward's cache arrays for ``n`` rows, after the
+    features: one ``_scratch`` per hidden block."""
+    return _scratch(n) + _scratch(n) + _scratch(n)
+
+
+def _row_blocks(n: int, block_rows: int) -> list:
+    """Slices of ``block_rows`` rows covering ``0..n``.  A single leftover
+    row joins the last block, since numpy multiplies a one-row matrix
+    with a matrix-vector kernel that sums in another order.  With blocks
+    starting on multiples of 8 and BLAS at one thread, each row's bits
+    equal one unblocked pass's."""
     blocks, lo = [], 0
     while lo < n:
         hi = lo + block_rows if n - lo > block_rows + 1 else n
         blocks.append(slice(lo, hi))
         lo = hi
-    threads = max(1, min(FORWARD_THREADS, len(blocks)))
-    errors = []
+    return blocks
 
-    def run(first):
-        try:
-            for rows in blocks[first::threads]:
-                work(rows)
-        except BaseException as exc:  # raised below, after the joins
-            errors.append(exc)
 
-    helpers = []
+def _fan_out(work, items, n_items: int) -> None:
+    """``work(item)`` for each of the ``n_items`` items that the iterable
+    ``items`` yields, on this thread and up to ``FORWARD_THREADS - 1``
+    helpers started for the call (numpy releases the GIL inside a
+    product).  This thread puts each item on a queue as ``items`` yields
+    it, so the helpers start on the first items while later ones are
+    still being computed, and then takes items off the queue itself
+    until it is empty.  The helpers are joined before the call returns,
+    and a helper's exception is raised here; once any thread has
+    failed, no thread starts another item.
+
+    ``queue`` is imported on first use, so a subcommand that runs no
+    policy (``gen-paths``, ``stats``) does not pay the 1 ms it adds to
+    ``import hedgelab.cli``."""
+    import queue
+
+    todo, errors, helpers = queue.SimpleQueue(), [], []
+
+    def drain():
+        for item in iter(todo.get, None):
+            if not errors:
+                try:
+                    work(item)
+                except BaseException as exc:  # raised below, after the joins
+                    errors.append(exc)
+
     try:
-        for t in range(1, threads):
-            helper = threading.Thread(target=run, args=(t,))
+        for _ in range(min(FORWARD_THREADS, n_items) - 1):
+            helper = threading.Thread(target=drain)
             helper.start()
             helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
+        for item in items:
+            if errors:
+                break
+            todo.put(item)
+    except BaseException as exc:  # raised below, after the joins
+        errors.append(exc)
+    for _ in range(len(helpers) + 1):
+        todo.put(None)  # one end mark per draining thread
+    drain()
+    for helper in helpers:
+        helper.join()
     if errors:
         raise errors[0]
 
@@ -299,19 +396,21 @@ class TrainReport:
 
 def minibatch_loss(policy: MlpPolicy, feats: np.ndarray, paths: np.ndarray,
                    payoffs: np.ndarray, measure: RiskMeasure,
-                   cost_rate: float) -> Tensor:
+                   cost_rate: float, arrays: list | None = None) -> Tensor:
     """Training loss -u(PL) of one minibatch, with its gradient.
 
     feats: (B, n, width) policy features, paths: (B, n+1) prices,
-    payoffs: (B,).  The gradient runs back through the risk measure and
-    the PL in closed form, then through ``MlpPolicy._backward``.  Each
-    step is the product or sum that reverse-mode differentiation of the
-    loss composed from elementary nodes performs, in the same order, so
-    the loss and the gradients equal that graph's bit for bit.  Hence
-    the ERM mean is ``sum * (1/m)``, not ``np.mean``.
+    payoffs: (B,); ``arrays``: the policy forward's cache arrays to
+    refill (see ``MlpPolicy.__call__``).  The gradient runs back through
+    the risk measure and the PL in closed form, then through
+    ``MlpPolicy._backward``.  Each step is the product or sum that
+    reverse-mode differentiation of the loss composed from elementary
+    nodes performs, in the same order, so the loss and the gradients
+    equal that graph's bit for bit.  Hence the ERM mean is
+    ``sum * (1/m)``, not ``np.mean``.
     """
     b, n, width = feats.shape
-    deltas, policy_backward = policy(feats.reshape(-1, width))
+    deltas, policy_backward = policy(feats.reshape(-1, width), arrays)
     deltas = deltas.reshape(b, n)
     pl, _, _ = pl_core(paths, deltas, payoffs, cost_rate)
     m = pl.size
@@ -411,6 +510,11 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
     best_state = policy.get_state()
     finite_state = policy.get_state()
     finite_opt = opt.get_state()
+    # one forward cache for the whole training, refilled by every
+    # minibatch (a shorter last one fills a row prefix); each loss's
+    # gradient is taken before the next forward
+    steps = feats_tr.shape[1]
+    arrays = _training_arrays(bs * steps)
 
     for epoch in range(epochs):
         order = rng.permutation(n_tr)
@@ -418,18 +522,14 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
         fault = ""
         for lo in range(0, n_tr, bs):
             idx = order[lo:lo + bs]
-            # ``loss`` keeps this minibatch's forward cache alive until the
-            # next one is built; freeing it here instead lets the
-            # allocator hand the pages back and fault them in again every
-            # step
             loss = minibatch_loss(policy, feats_tr[idx], train_paths[idx],
-                                  pay_tr[idx], measure, cost_rate)
+                                  pay_tr[idx], measure, cost_rate,
+                                  [a[:idx.size * steps] for a in arrays])
             if not np.isfinite(loss.value):
                 fault = "loss"
                 break
             opt.step(loss.backward())
             losses.append(loss.value)
-        del loss  # the validation pass reuses the cache's memory
         if not fault:
             val_price = _price_features(policy, feats_val, val_paths,
                                         pay_val, measure, cost_rate)

@@ -11,11 +11,11 @@ build_agents, compute_factors, decide_order) states the FCN model one
 agent at a time; its tests pin the factor and order formulas.
 
 The per-path hedge accounting (compute_pl, HedgeOutcome), the per-prefix
-features and realized_vol, and the single-path delta_hedge_baseline are
-the one-path-at-a-time statements that the batch routines of
-hedgelab.hedge_core are checked against.  delta_hedge_baseline_batch is
-the Black-Scholes delta hedge that criterion 5 compares the trained
-policy with.  load_paths reads back what hedgelab.paths_io writes.
+features and realized_vol (with its VolConfig settings), and the
+single-path delta_hedge_baseline are the one-path-at-a-time statements
+that the batch routines of hedgelab.hedge_core are checked against.
+delta_hedge_baseline_batch is the Black-Scholes delta hedge that
+criterion 5 compares the trained policy with.  load_paths reads back what hedgelab.paths_io writes.
 
 Tensor is a minimal reverse-mode autodiff engine over float64 arrays,
 the one hedgelab trained with before its gradient was written out in
@@ -39,8 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from hedgelab import autodiff
-from hedgelab.hedge_core import (ANNUAL_DAYS, VolConfig, pl_core,
-                                 position_change_matrix)
+from hedgelab.hedge_core import ANNUAL_DAYS, pl_core, position_change_matrix
 from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
 from hedgelab.lob import Book, Order
 from hedgelab.neuralnet import LN_EPS
@@ -437,6 +436,17 @@ def write_outcomes_csv(path: str, outcomes: list) -> None:
         for i, o in enumerate(outcomes):
             w.writerow([i, repr(float(o.payoff)), repr(float(o.trading_gain)),
                         repr(float(o.cost)), repr(float(o.pl))])
+
+
+@dataclass(frozen=True)
+class VolConfig:
+    """Trailing realized-vol estimator settings: the values that
+    hedge_core's VOL_* constants must equal by default, and others for
+    the estimator's own tests."""
+
+    prior: float = 0.2
+    blend_min_returns: int = 5
+    floor: float = 1e-4
 
 
 def realized_vol(prefix: np.ndarray, cfg: VolConfig = VolConfig()) -> float:
@@ -879,9 +889,11 @@ def cvar_graph(samples: Tensor, alpha: float) -> Tensor:
 
 def reference_minibatch_loss(policy, feats: np.ndarray, paths: np.ndarray,
                              payoffs: np.ndarray, measure,
-                             cost_rate: float) -> autodiff.Tensor:
+                             cost_rate: float,
+                             arrays=None) -> autodiff.Tensor:
     """neuralnet.minibatch_loss computed on the engine: a drop-in whose
-    loss and gradients the closed form must equal bit for bit."""
+    loss and gradients the closed form must equal bit for bit.  The
+    graph allocates its own arrays, so ``arrays`` goes unused."""
     params = [Tensor(p, requires_grad=True) for p in policy.params]
     deltas = reference_policy_graph(params,
                                     feats.reshape(-1, feats.shape[2]))

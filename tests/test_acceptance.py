@@ -17,8 +17,7 @@ import yaml
 
 from _reference import RefBook, delta_hedge_baseline_batch, make_order_stream
 from hedgelab.cli import main
-from hedgelab.hedge_core import (VolConfig, feature_width, features_matrix,
-                                 pl_core)
+from hedgelab.hedge_core import feature_width, features_matrix, pl_core
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order, expire_orders, insert_order
@@ -102,7 +101,7 @@ def test_criterion_02_risk_oracles(acceptance_report):
 
 
 def _np_loss(policy, paths, spec, measure, cost_rate):
-    feats = features_matrix(paths, spec, VolConfig())
+    feats = features_matrix(paths, spec)
     deltas = policy.forward_np(feats.reshape(-1, feats.shape[2]))
     deltas = deltas.reshape(paths.shape[0], paths.shape[1] - 1)
     pl, _, _ = pl_core(paths, deltas, payoff_batch(spec, paths), cost_rate)
@@ -125,7 +124,7 @@ def test_criterion_03_gradient_fidelity(acceptance_report):
         policy.set_state(state)
         for measure in measures:
             grads = minibatch_loss(
-                policy, features_matrix(paths, toy, VolConfig()), paths,
+                policy, features_matrix(paths, toy), paths,
                 payoff_batch(toy, paths), measure, 0.002).backward()
             h = 1e-6
             for p, g in zip(policy.params, grads):
@@ -175,7 +174,7 @@ def test_criterion_05_hedging_efficacy(acceptance_report):
 
     eval_paths = gbm_paths(params, 10_000, seed=504)
     pay = payoff_batch(SPEC, eval_paths)
-    feats = features_matrix(eval_paths, SPEC, VolConfig())
+    feats = features_matrix(eval_paths, SPEC)
     deltas = policy.forward_np(
         feats.reshape(-1, feats.shape[2])).reshape(eval_paths.shape[0], -1)
     pl_nn, _, _ = pl_core(eval_paths, deltas, pay, 0.0)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import (compute_pl, compute_pl_batch, delta_hedge_baseline,
-                        delta_hedge_baseline_batch, features, realized_vol,
-                        write_outcomes_csv)
-from hedgelab.hedge_core import (VolConfig, feature_width, features_matrix,
+from _reference import (VolConfig, compute_pl, compute_pl_batch,
+                        delta_hedge_baseline, delta_hedge_baseline_batch,
+                        features, realized_vol, write_outcomes_csv)
+from hedgelab.hedge_core import (feature_width, features_matrix,
                                  position_change_matrix)
 from hedgelab.instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec,
                                   bs_delta, payoff_batch)
@@ -135,12 +135,11 @@ def test_features_matrix_matches_per_prefix(kind):
     rng = np.random.default_rng(9)
     paths = np.abs(1.0 + 0.03 * rng.standard_normal((12, 11)).cumsum(axis=1)) + 0.2
     spec = OptionSpec(kind, strike=1.0, maturity_days=10)
-    cfg = VolConfig()
-    mat = features_matrix(paths, spec, cfg)
+    mat = features_matrix(paths, spec)
     assert mat.shape == (12, 10, feature_width(spec))
     for b in range(12):
         for i in range(10):
-            row = features(paths[b, :i + 1], spec, cfg)
+            row = features(paths[b, :i + 1], spec)
             np.testing.assert_allclose(mat[b, i], row, rtol=1e-12, atol=1e-12)
 
 

@@ -190,13 +190,59 @@ class TestBlockedForward:
                 policy.forward_np(x)
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # forward_np's 4 blocks go to the caller and a helper in turn, so
-        # the helper fails on the second
-        _fail_in_a_helper(monkeypatch, "forward_np", FORWARD_BLOCK_ROWS)
+        x = np.zeros((4 * FORWARD_BLOCK_ROWS, 4))
+        rows = _fail_in_a_helper(monkeypatch, _randomized_policy().forward_np,
+                                 x)
+        assert rows.stop - rows.start == FORWARD_BLOCK_ROWS
 
     def test_helper_error_in_training_reaches_the_caller(self, monkeypatch):
         # the training forward gives each of the 2 threads one block
-        _fail_in_a_helper(monkeypatch, "__call__", 2 * FORWARD_BLOCK_ROWS)
+        x = np.zeros((4 * FORWARD_BLOCK_ROWS, 4))
+        rows = _fail_in_a_helper(monkeypatch, _randomized_policy(), x)
+        assert rows.stop - rows.start == 2 * FORWARD_BLOCK_ROWS
+
+    def test_helper_error_in_backward_reaches_the_caller(self, monkeypatch):
+        # the helper fails on one of the four weight-gradient products,
+        # which go to helpers only beside a one-thread BLAS
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        x = np.random.default_rng(4).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
+        _, backward = _randomized_policy()(x)
+        g = np.zeros(x.shape[0])
+        g[::7] = 1.0
+        index, _, b = _fail_in_a_helper(monkeypatch, backward, g)
+        assert index in (0, 4, 8, 12)
+        assert b.shape[0] == x.shape[0]
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_backward_products_beside_the_chain_at_one_blas_thread(
+            self, monkeypatch, blas_threads):
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: blas_threads)
+        fan_out, n_items = neuralnet._fan_out, []
+
+        def recording_fan_out(work, items, n):
+            n_items.append(n)
+            fan_out(work, items, n)
+
+        _, backward = _randomized_policy()(np.ones((64, 4)))
+        monkeypatch.setattr(neuralnet, "_fan_out", recording_fan_out)
+        backward(np.ones(64))
+        assert n_items == [4 if blas_threads == 1 else 1]
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        policy = _randomized_policy()
+        x = np.random.default_rng(5).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
+        g = np.zeros(x.shape[0])
+        g[::7] = 1.0
+        before = threading.active_count()
+        policy.forward_np(x)
+        assert threading.active_count() == before
+        _, backward = policy(x)
+        assert threading.active_count() == before
+        backward(g)
+        assert threading.active_count() == before
 
     def test_forked_child_runs_the_forward(self, monkeypatch):
         # no pool or thread outlives a call, so a child forked after one
@@ -256,26 +302,46 @@ class TestBlockedForward:
         assert peak <= cache_bytes + out.nbytes + 2 * block_array
 
 
-def _fail_in_a_helper(monkeypatch, forward, helper_rows):
-    """Runs ``policy.<forward>`` on 2 threads over 4 blocks' rows with a
-    block routine that fails on the helper thread."""
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_blas_threads_reads_openblas(blas_threads):
+    if neuralnet._openblas_function("get_num_threads") is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from hedgelab import neuralnet; print(neuralnet._blas_threads())"],
+        env=_subprocess_env(blas_threads), capture_output=True, text=True,
+        check=True, timeout=120)
+    assert proc.stdout.split() == [blas_threads]
+
+
+def _fail_in_a_helper(monkeypatch, call, *args):
+    """Runs ``call(*args)`` on 2 threads with every ``_fan_out`` item
+    failing on the helper thread, checks that the error reaches the
+    caller and leaves no thread behind, and returns the one item the
+    helper got.  The caller's items wait until the helper has failed, so
+    the helper always gets one."""
     monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
-    policy = _randomized_policy()
-    block, caller = policy._forward, threading.get_ident()
-    failed = []
+    fan_out, caller = neuralnet._fan_out, threading.get_ident()
+    failed, helper_failed = [], threading.Event()
 
-    def fail_in_a_helper(cache, out):
-        if threading.get_ident() != caller:
-            failed.append(out.shape[0])
-            raise RuntimeError("block failed")
-        block(cache, out)
+    def failing_fan_out(work, items, n_items):
+        def fail_in_a_helper(item):
+            if threading.get_ident() != caller:
+                failed.append(item)
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            assert helper_failed.wait(timeout=60)
+            work(item)
 
-    monkeypatch.setattr(policy, "_forward", fail_in_a_helper)
+        fan_out(fail_in_a_helper, items, n_items)
+
+    monkeypatch.setattr(neuralnet, "_fan_out", failing_fan_out)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="block failed"):
-        getattr(policy, forward)(np.zeros((4 * FORWARD_BLOCK_ROWS, 4)))
-    assert failed == [helper_rows]  # the helper stops at once
+    with pytest.raises(RuntimeError, match="helper failed"):
+        call(*args)
+    assert len(failed) == 1  # the helper stops at once
     assert threading.active_count() == before
+    return failed[0]
 
 
 def _train_state():
@@ -407,11 +473,12 @@ def test_policy_node_gradients_equal_reference_graph(
 
 
 # Losses and gradients at the benchmark's minibatch shape (256 paths x 20
-# steps), from the reference graph and from minibatch_loss on 1, 2 and 3
-# threads, saved to the npz named by argv[1].  Rows past a few dozen
-# reach OpenBLAS's large-shape kernels, which the hypothesis test above
-# never does.  The training forward's positions and cache arrays are
-# saved as digests, beside those of one unblocked reference forward.
+# steps) and at shapes around the backward's gather gate, from the
+# reference graph and from minibatch_loss on 1, 2 and 3 threads, saved to
+# the npz named by argv[1].  Rows past a few dozen reach OpenBLAS's
+# large-shape kernels, which the hypothesis test above never does.  The
+# training forward's positions and cache arrays are saved as digests,
+# beside those of one unblocked reference forward.
 _MINIBATCH_GRADIENT_CASES = """
 import hashlib
 import sys
@@ -427,8 +494,8 @@ from test_neuralnet import _both_losses, _gbm_like_paths
 sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
 forward, backward, seen = MlpPolicy.__call__, MlpPolicy._backward, []
 
-def recording_forward(policy, x):
-    out, grads = forward(policy, x)
+def recording_forward(policy, x, arrays=None):
+    out, grads = forward(policy, x, arrays)
     seen.append(out)
     return out, grads
 
@@ -442,15 +509,21 @@ def digests(arrays):
 
 MlpPolicy.__call__, MlpPolicy._backward = recording_forward, recording_backward
 cvar = RiskMeasure("cvar", alpha=0.95)
-cases = [(w, cvar, c) for w in (4, 5) for c in (0.0, 0.002)]
-cases += [(4, RiskMeasure("erm", lam=1.0), 0.002),
-          (4, RiskMeasure("erm", lam=1.0), 0.0),
-          (5, RiskMeasure("erm", lam=1e5), 0.002)]
+cases = [(w, cvar, c, 256, 20) for w in (4, 5) for c in (0.0, 0.002)]
+cases += [(4, RiskMeasure("erm", lam=1.0), 0.002, 256, 20),
+          (4, RiskMeasure("erm", lam=1.0), 0.0, 256, 20),
+          (5, RiskMeasure("erm", lam=1e5), 0.002, 256, 20),
+          # gathered: a 60-row tail, then a 20-row tail (under the 38 rows
+          # where the transposed view's kernel changes) of an 80-row batch
+          (4, RiskMeasure("cvar", alpha=0.99), 0.002, 256, 20),
+          (5, RiskMeasure("cvar", alpha=0.8), 0.0, 4, 20),
+          # a 1-row tail: dense
+          (4, RiskMeasure("cvar", alpha=0.99), 0.0, 64, 1)]
 arrays = {}
-for i, (width, measure, cost_rate) in enumerate(cases):
-    paths = _gbm_like_paths(256, steps=20, seed=i)
+for i, (width, measure, cost_rate, n_paths, steps) in enumerate(cases):
+    paths = _gbm_like_paths(n_paths, steps=steps, seed=i)
     spec = OptionSpec("lookback_call" if width == 5 else "european_call",
-                      maturity_days=20)
+                      maturity_days=steps)
     policy = MlpPolicy(width, seed=i)
     rng = np.random.default_rng(i)
     policy.set_state([p + rng.normal(0.0, 0.3, p.shape)
@@ -490,7 +563,7 @@ def _minibatch_cases(tmp_path, blas_threads: str) -> dict:
         for key in blob.files:
             name, run = key.rsplit("_", 1)
             cases.setdefault(name, {})[run] = blob[key]
-    assert len(cases) == 7 * (1 + 14 + 1)
+    assert len(cases) == 10 * (1 + 14 + 1)
     return cases
 
 
@@ -645,9 +718,9 @@ class TestTrain:
         forward = MlpPolicy.__call__
         starts = []
 
-        def recording_forward(policy, x):
+        def recording_forward(policy, x, arrays=None):
             starts.append(policy.get_state())
-            return forward(policy, x)
+            return forward(policy, x, arrays)
 
         prices = iter([0.1, float("nan"), float("nan"), 0.1])
         monkeypatch.setattr(MlpPolicy, "__call__", recording_forward)
@@ -663,6 +736,28 @@ class TestTrain:
         for epoch in (2, 3):
             assert all(np.array_equal(a, b)
                        for a, b in zip(starts[1], starts[epoch])), epoch
+
+    def test_minibatches_refill_one_cache(self, monkeypatch):
+        # 40 training paths in minibatches of 16: each minibatch refills
+        # the cache arrays that train owns, the short last one a prefix
+        forward = MlpPolicy.__call__
+        caches = []
+
+        def recording_forward(policy, x, arrays=None):
+            caches.append(arrays)
+            return forward(policy, x, arrays)
+
+        monkeypatch.setattr(MlpPolicy, "__call__", recording_forward)
+        train(MlpPolicy(4, seed=0), _gbm_like_paths(50, seed=4),
+              OptionSpec("european_call", maturity_days=8), ERM1, lr=1e-2,
+              epochs=2, minibatch=16, seed=0)
+        first = caches[0]
+        assert len(first) == 15 and len(caches) == 6
+        for i, arrays in enumerate(caches):
+            rows = 8 * (8 if i % 3 == 2 else 16)
+            for a, b in zip(arrays, first):
+                assert a.shape[0] == rows and a.base is b.base
+                assert a.flags.c_contiguous
 
     def test_training_reduces_erm_price_on_gbm(self):
         # risk-averse enough (lam=10) that hedging has a visible in-sample
