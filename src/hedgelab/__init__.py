@@ -12,7 +12,7 @@ from .fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                          run_session, simulate_paths)
 from .hedge_core import feature_width, features_matrix, pl_core
 from .instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec, bs_delta,
-                          bs_price, payoff, payoff_batch)
+                          payoff_batch)
 from .lob import Book, Fill, Order, expire_orders, insert_order, uncross
 from .market_data import (IndexSeries, StylizedStats, extract_windows,
                           load_series, raw_kurtosis, stylized_stats)

@@ -263,9 +263,9 @@ def evaluation_paths(cfg: dict, sim, seed: int, parallel: int = 1):
     fresh batch from the configured generator.  Returns (paths, label)."""
     ev = cfg["eval"]
     if ev["source"]:
-        series = load_series(ev["source"])
         paths = extract_windows(
-            series, window_days=cfg["option"]["maturity_days"] + 1,
+            load_series(ev["source"]).closes,
+            window_days=cfg["option"]["maturity_days"] + 1,
             stride=ev["stride"])
         if paths.shape[0] == 0:
             raise ValueError(f"{ev['source']}: not enough rows for one window")

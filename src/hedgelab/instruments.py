@@ -1,20 +1,18 @@
-"""Option payoffs and zero-rate Black-Scholes analytics.
+"""Option payoffs and the zero-rate Black-Scholes delta.
 
 Only what the hedging experiments need: European and lookback calls on a
-unit-normalized underlying, plus the Black-Scholes call price and delta
-used as policy features and as the classical hedging baseline.  The
-risk-free rate is zero throughout, so
+unit-normalized underlying, plus the Black-Scholes call delta used as a
+policy feature and as the classical hedging baseline.  The risk-free
+rate is zero throughout, so
 
     d1 = (ln(S/K) + vol^2 * tau / 2) / (vol * sqrt(tau))
-    d2 = d1 - vol * sqrt(tau)
-    price = S * N(d1) - K * N(d2)
     delta = N(d1)
 
-N is ``scipy.special.ndtr``, imported inside ``bs_price`` and ``bs_delta``:
-loading ``scipy.special`` costs about a quarter of a second and 20 MiB
-of RSS on a 2-vCPU host, and a process that never prices an option or
-builds policy features (``gen-paths`` and ``stats`` on GBM or on the
-agent market) never pays for it.
+N is ``scipy.special.ndtr``, imported inside ``bs_delta``: loading
+``scipy.special`` costs about a quarter of a second and 20 MiB of RSS on
+a 2-vCPU host, and a process that never prices an option or builds
+policy features (``gen-paths`` and ``stats`` on GBM or on the agent
+market) never pays for it.
 """
 
 from __future__ import annotations
@@ -49,20 +47,8 @@ class OptionSpec:
         return self.kind == LOOKBACK_CALL
 
 
-def payoff(spec: OptionSpec, path: np.ndarray) -> float:
-    """Terminal payoff of ``spec`` for one price path of length n+1."""
-    path = np.asarray(path, dtype=np.float64)
-    if path.ndim != 1 or path.shape[0] != spec.maturity_days + 1:
-        raise ValueError(
-            f"path length {path.shape} does not match maturity {spec.maturity_days} (+1 sample)"
-        )
-    if spec.is_lookback:
-        return max(float(path.max()) - spec.strike, 0.0)
-    return max(float(path[-1]) - spec.strike, 0.0)
-
-
 def payoff_batch(spec: OptionSpec, paths: np.ndarray) -> np.ndarray:
-    """Vectorized ``payoff`` over a (n_paths, n+1) matrix."""
+    """Terminal payoff of ``spec`` for each row of a (n_paths, n+1) matrix."""
     paths = np.asarray(paths, dtype=np.float64)
     if paths.ndim != 2 or paths.shape[1] != spec.maturity_days + 1:
         raise ValueError(
@@ -73,31 +59,6 @@ def payoff_batch(spec: OptionSpec, paths: np.ndarray) -> np.ndarray:
     else:
         ref = paths[:, -1]
     return np.maximum(ref - spec.strike, 0.0)
-
-
-def _d1(spot, strike, vol, tau_years):
-    sq = vol * np.sqrt(tau_years)
-    return (np.log(spot / strike) + 0.5 * vol * vol * tau_years) / sq
-
-
-def bs_price(spot, strike, vol, tau_years):
-    """Zero-rate Black-Scholes call price; scalar or array arguments.
-
-    tau_years = 0 collapses to intrinsic value.  spot = 0 is worth 0.
-    """
-    from scipy.special import ndtr
-    spot = np.asarray(spot, dtype=np.float64)
-    scalar = spot.ndim == 0
-    spot = np.atleast_1d(spot)
-    out = np.maximum(spot - strike, 0.0)
-    if tau_years > 0.0:
-        pos = spot > 0.0
-        if np.any(pos):
-            v = vol[pos] if np.ndim(vol) else vol
-            d1 = _d1(spot[pos], strike, v, tau_years)
-            d2 = d1 - v * np.sqrt(tau_years)
-            out[pos] = spot[pos] * ndtr(d1) - strike * ndtr(d2)
-    return float(out[0]) if scalar else out
 
 
 def bs_delta(spot, strike, vol, tau_years):
@@ -117,5 +78,7 @@ def bs_delta(spot, strike, vol, tau_years):
         pos = spot > 0.0
         if np.any(pos):
             v = vol[pos] if np.ndim(vol) else vol
-            out[pos] = ndtr(_d1(spot[pos], strike, v, tau_years))
+            sq = v * np.sqrt(tau_years)
+            d1 = (np.log(spot[pos] / strike) + 0.5 * v * v * tau_years) / sq
+            out[pos] = ndtr(d1)
     return float(out[0]) if scalar else out

@@ -132,11 +132,12 @@ class Book:
         return vol
 
     def submit(self, is_bid: bool, price: float, ttl: int,
-               fills=None, matching: bool = True) -> int:
-        """Fast path for session loops: volume-1 order, id auto-assigned.
+               matching: bool = True) -> int:
+        """Fast path for session loops: volume-1 order, id auto-assigned,
+        no Fill records.
 
-        Returns the traded volume; pass a list to also capture Fill rows;
-        matching=False rests the order unconditionally (preopen phase).
+        Returns the traded volume; matching=False rests the order
+        unconditionally (preopen phase).
         This is _match and _rest specialised to volume 1 and written out
         inline, because every session order goes through it.
         """
@@ -145,14 +146,14 @@ class Book:
         if is_bid:
             opp = self.ask_heap
             if matching and opp and opp[0][0] <= price:
-                self._match(True, price, 1, oid, fills)
+                self._match(True, price, 1, oid, None)
                 return 1
             entry = [-price, self._seq, oid, 1]
             heappush(self.bid_heap, entry)
         else:
             opp = self.bid_heap
             if matching and opp and -opp[0][0] >= price:
-                self._match(False, price, 1, oid, fills)
+                self._match(False, price, 1, oid, None)
                 return 1
             entry = [price, self._seq, oid, 1]
             heappush(self.ask_heap, entry)

@@ -22,7 +22,6 @@ import numpy as np
 class IndexSeries:
     dates: list
     closes: np.ndarray
-    label: str = "other"  # development | test | other
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -34,7 +33,7 @@ class StylizedStats:
     histogram: Dict[float, float] = field(default_factory=dict)  # center -> mass
 
 
-def load_series(source, label: str = "other") -> IndexSeries:
+def load_series(source) -> IndexSeries:
     """Parse a date,close CSV into a validated, date-sorted series."""
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
@@ -64,16 +63,16 @@ def load_series(source, label: str = "other") -> IndexSeries:
             raise ValueError(f"{source}: duplicate date {d1.isoformat()}")
     dates = [r[0] for r in rows]
     closes = np.array([r[1] for r in rows])
-    return IndexSeries(dates, closes, label)
+    return IndexSeries(dates, closes)
 
 
-def extract_windows(series, window_days: int = 21, stride: int = 1) -> np.ndarray:
-    """Sliding windows of closes, each normalized so it starts at 1.0.
+def extract_windows(closes, window_days: int = 21, stride: int = 1) -> np.ndarray:
+    """Sliding windows of a close array, each normalized so it starts at 1.0.
 
-    Accepts an IndexSeries or a bare close array; a series shorter than
-    one window yields an empty (0, window_days) batch with a warning.
+    A series shorter than one window yields an empty (0, window_days)
+    batch with a warning.
     """
-    closes = series.closes if isinstance(series, IndexSeries) else np.asarray(series, dtype=float)
+    closes = np.asarray(closes, dtype=float)
     if window_days < 2 or stride < 1:
         raise ValueError("window_days must be >= 2 and stride >= 1")
     n = len(closes) - window_days + 1

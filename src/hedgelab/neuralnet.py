@@ -9,21 +9,24 @@ measures (CVaR) from thrashing during warm-up.
 
 The forward pass is written once, ``MlpPolicy._forward``, for one row
 block, and ``_fan_out``, the one loop that hands work to every usable
-core, runs the blocks.  Pricing (``forward_np``) runs cache-sized blocks
-on scratch; training (``__call__``) runs one block per core into the
-full-size cache, which ``train`` owns and refills, and which the
-hand-derived MLP backward (``_backward``) reads.  ``minibatch_loss`` is
-one training step's loss and gradient: the risk measure and the PL
-differentiated in closed form, then that backward.  The backward's chain
-works only on the rows whose position gradient is non-zero (under CVaR,
-the tail paths' rows), its products into the next block too where the
-bits allow it, and the same loop runs its four full-shape weight
-products beside the chain, so its bits equal a dense serial pass's.
+core (while BLAS runs one thread), runs the blocks.  Pricing
+(``forward_np``) runs cache-sized blocks on scratch; training
+(``__call__``) runs one block per core into the full-size cache, which
+``train`` owns and refills, and which the hand-derived MLP backward
+(``_backward``) reads.  ``minibatch_loss`` is one training step's loss
+and gradient: the risk measure and the PL differentiated in closed form,
+then that backward.  The backward's chain works only on the rows whose
+position gradient is non-zero (under CVaR, the tail paths' rows), its
+products into the next block too where the bits allow it, and the same
+loop runs its four full-shape weight products beside the chain, so its
+bits equal a dense serial pass's.
 
 ``policy_price`` is the one pricing pass (features -> policy
 -> PL -> indifference price); its step from built features,
 ``_price_features``, lets training's validation and the table reuse
-them across epochs and policies.
+them across epochs and policies.  Adam's moment decays and epsilon are
+the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``; only its
+learning rate is a setting.
 """
 
 from __future__ import annotations
@@ -55,13 +58,17 @@ LN_EPS = 1e-5
 # 8, so every block starts on the row boundaries of BLAS's unrolled
 # kernels, as in one unblocked call.
 FORWARD_BLOCK_ROWS = 1024
-# threads per forward or backward call: the CPUs this process may run on
+# threads per forward or backward call while OpenBLAS runs one thread
+# (see ``_fan_out``): the CPUs this process may run on
 FORWARD_THREADS = (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 # Batch rows from which the backward's product into the next block runs
 # on the non-zero rows only (see ``MlpPolicy._chain``): above the 38 rows
 # where OpenBLAS switches kernels, with margin.
 GATHER_MIN_BATCH_ROWS = 64
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 1
 
 
@@ -121,15 +128,11 @@ class MlpPolicy:
 
         The caller runs the chain (``_chain``) from the head back to the
         first block; each weight gradient's product goes to a helper
-        thread as soon as the chain has its operands, and once the chain
-        ends the caller takes its share of the products still queued.
-        Each product's operands and shape are those of a serial pass, so
-        its bits do not depend on the thread that runs it.  When BLAS
-        runs more than one thread, the caller runs the products itself:
-        their BLAS threads and the chain's then contend for the cores,
-        and on a 2-vCPU host at two BLAS threads criterion 4's ERM
-        training took 135-151 s with the products beside the chain and
-        57 s without.
+        thread (see ``_fan_out``) as soon as the chain has its operands,
+        and once the chain ends the caller takes its share of the
+        products still queued.  Each product's operands and shape are
+        those of a serial pass, so its bits do not depend on the thread
+        that runs it.
         """
         grads = [None] * len(self.params)
 
@@ -139,7 +142,7 @@ class MlpPolicy:
 
         chain = self._chain(g.reshape(-1, 1), cache, grads)
         # the head's and the 3 blocks' products
-        _fan_out(weight_gradient, chain, 4 if _blas_threads() == 1 else 1)
+        _fan_out(weight_gradient, chain, 4)
         return grads
 
     def _chain(self, g: np.ndarray, cache: list, grads: list):
@@ -307,14 +310,22 @@ def _row_blocks(n: int, block_rows: int) -> list:
 
 def _fan_out(work, items, n_items: int) -> None:
     """``work(item)`` for each of the ``n_items`` items that the iterable
-    ``items`` yields, on this thread and up to ``FORWARD_THREADS - 1``
-    helpers started for the call (numpy releases the GIL inside a
-    product).  This thread puts each item on a queue as ``items`` yields
-    it, so the helpers start on the first items while later ones are
-    still being computed, and then takes items off the queue itself
-    until it is empty.  The helpers are joined before the call returns,
-    and a helper's exception is raised here; once any thread has
-    failed, no thread starts another item.
+    ``items`` yields, on this thread and, while OpenBLAS runs one
+    thread, up to ``FORWARD_THREADS - 1`` helpers started for the call
+    (numpy releases the GIL inside a product).  This thread puts each
+    item on a queue as ``items`` yields it, so the helpers start on the
+    first items while later ones are still being computed, and then
+    takes items off the queue itself until it is empty.  The helpers are
+    joined before the call returns, and a helper's exception is raised
+    here; once any thread has failed, no thread starts another item.
+
+    When BLAS runs more than one thread, this thread runs every item
+    itself: helpers would contend with BLAS's own threads for the
+    cores.  On a 2-vCPU host at two BLAS threads, criterion 4's ERM
+    training took 135-151 s with the backward's products on a helper
+    and 57 s without, and a 10 000-path, 3-epoch ERM ``train`` took
+    1.34-1.66 s with the forwards' helpers and 1.29-1.33 s without (5
+    alternated runs each).
 
     ``queue`` is imported on first use, so a subcommand that runs no
     policy (``gen-paths``, ``stats``) does not pay the 1 ms it adds to
@@ -332,7 +343,8 @@ def _fan_out(work, items, n_items: int) -> None:
                     errors.append(exc)
 
     try:
-        for _ in range(min(FORWARD_THREADS, n_items) - 1):
+        threads = FORWARD_THREADS if _blas_threads() == 1 else 1
+        for _ in range(min(threads, n_items) - 1):
             helper = threading.Thread(target=drain)
             helper.start()
             helpers.append(helper)
@@ -352,12 +364,11 @@ def _fan_out(work, items, n_items: int) -> None:
 
 
 class Adam:
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -365,7 +376,7 @@ class Adam:
     def step(self, grads) -> None:
         """Update each parameter in place from its gradient in ``grads``."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v,
@@ -374,7 +385,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def get_state(self):
         return self.t, [m.copy() for m in self.m], [v.copy() for v in self.v]

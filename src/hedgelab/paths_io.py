@@ -1,4 +1,4 @@
-"""Path-batch output: CSV or .npy matrix plus a JSON sidecar.
+"""Path-batch output: a CSV matrix plus a JSON sidecar.
 
 Rows are paths, columns t_0..t_n; the sidecar (same filename + .json)
 records whatever metadata the producer wants tied to the batch, config
@@ -18,13 +18,10 @@ def save_paths(path, paths: np.ndarray, meta: dict) -> None:
     if paths.ndim != 2:
         raise ValueError("paths must be a 2-D matrix")
     path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, paths)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"t_{i}" for i in range(paths.shape[1])) + "\n")
-            for row in paths:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"t_{i}" for i in range(paths.shape[1])) + "\n")
+        for row in paths:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     with open(path + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

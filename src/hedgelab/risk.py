@@ -9,8 +9,8 @@ cash-invariant, u(x + c) = u(x) + c:
     samples, ties broken by sample index.
 
 Cash invariance makes the indifference equation u(PL + p) = u(0) = 0
-solvable in closed form, p = -u(PL); ``indifference_price`` additionally
-verifies the defining equation numerically.
+solvable in closed form, p = -u(PL); ``indifference_price`` always
+verifies the defining equation numerically, to ``VERIFY_TOL``.
 
 ``erm``, ``cvar``, ``utility`` and ``indifference_price`` take sample
 arrays.  The training loss (``neuralnet.minibatch_loss``) differentiates
@@ -28,6 +28,7 @@ import numpy as np
 
 ERM = "erm"
 CVAR = "cvar"
+VERIFY_TOL = 1e-9  # indifference_price's residual bound, relative
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,18 @@ def utility(samples, measure: RiskMeasure):
     return cvar(samples, measure.alpha)
 
 
-def indifference_price(pl_samples, measure: RiskMeasure, verify: bool = True,
-                       verify_tol: float = 1e-9) -> float:
+def indifference_price(pl_samples, measure: RiskMeasure) -> float:
     """Cash amount p solving u(PL + p) = u(0) = 0, i.e. p = -u(PL).
 
-    ``verify=True`` re-evaluates the defining equation at the root and
-    raises if cash invariance was violated numerically.
+    Re-evaluates the defining equation at the root and raises if cash
+    invariance was violated numerically, beyond ``VERIFY_TOL`` relative
+    to max(1, |p|).
     """
     pl = np.asarray(pl_samples, dtype=np.float64)
     price = -float(utility(pl, measure))
-    if verify:
-        residual = float(utility(pl + price, measure))
-        scale = max(1.0, abs(price))
-        if abs(residual) > verify_tol * scale:
-            raise ArithmeticError(
-                f"indifference equation residual {residual:.3e} exceeds tolerance"
-            )
+    residual = float(utility(pl + price, measure))
+    if abs(residual) > VERIFY_TOL * max(1.0, abs(price)):
+        raise ArithmeticError(
+            f"indifference equation residual {residual:.3e} exceeds tolerance"
+        )
     return price

@@ -15,10 +15,13 @@ uses the martingale-corrected drift K0* so E[S_{t+dt} | S_t, V_t] = S_t
 exactly at zero rates; correlation enters through the usual K1..K4
 decomposition with central weighting (gamma1 = gamma2 = 1/2).
 
-The quadratic branch draws Z through the normal inverse CDF,
-``scipy.special.ndtri``, imported inside ``_qe_variance_step``: loading
-``scipy.special`` costs about a quarter of a second and 20 MiB of RSS on
-a 2-vCPU host, which GBM paths never need.
+``_qe_step`` makes that regime split once per step and returns both the
+next variance and the conditional moment E[exp(A * V')] that K0* needs,
+from one set of branch quantities (b^2, a; p, beta).  The quadratic
+branch draws Z through the normal inverse CDF, ``scipy.special.ndtri``,
+imported inside ``_qe_step``: loading ``scipy.special`` costs about a
+quarter of a second and 20 MiB of RSS on a 2-vCPU host, which GBM paths
+never need.
 """
 
 from __future__ import annotations
@@ -74,11 +77,11 @@ class HestonParams:
 
     @classmethod
     def from_initial_vol(cls, sigma_init: float, kappa: float, rho: float,
-                         vol_of_vol: float = 0.2, dt: float = 1.0 / 250.0,
                          n_steps: int = 20) -> "HestonParams":
-        """Tuning-grid convention: one knob sets sqrt(theta) = sqrt(v0)."""
+        """Tuning-grid convention: one knob sets sqrt(theta) = sqrt(v0),
+        with the default vol of vol and dt."""
         return cls(kappa=kappa, theta=sigma_init ** 2, v0=sigma_init ** 2,
-                   vol_of_vol=vol_of_vol, rho=rho, dt=dt, n_steps=n_steps)
+                   rho=rho, n_steps=n_steps)
 
 
 def gbm_paths(params: GbmParams, n_paths: int, seed: int,
@@ -108,11 +111,19 @@ def gbm_paths(params: GbmParams, n_paths: int, seed: int,
     return paths
 
 
-def _qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-    """One QE update of the variance given uniforms ``u``; vectorized."""
+def _qe_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray, u: np.ndarray,
+             a_coef: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One QE update of the variance given uniforms ``u``, and
+    E[exp(a_coef * V')] for the branch each path takes; vectorized.
+
+    Returns (v_next, moment, valid); invalid entries (outside the
+    branch's moment domain, which the tuning grids never reach) signal a
+    fallback to the uncorrected drift.
+    """
     from scipy.special import ndtri
-    out = np.zeros_like(v)
+    v_next = np.zeros_like(v)
+    moment = np.ones_like(m)
+    valid = np.ones(m.shape, dtype=bool)
     alive = m > 0.0  # absorbed-at-zero paths (kappa = 0, V = 0) stay put
     psi = np.ones_like(v)
     np.divide(s2, m * m, out=psi, where=alive)
@@ -122,8 +133,13 @@ def _qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
         inv_psi = 1.0 / psi[quad]
         b2 = 2.0 * inv_psi - 1.0 + np.sqrt(2.0 * inv_psi) * np.sqrt(2.0 * inv_psi - 1.0)
         a = m[quad] / (1.0 + b2)
-        z = ndtri(u[quad])
-        out[quad] = a * (np.sqrt(b2) + z) ** 2
+        v_next[quad] = a * (np.sqrt(b2) + ndtri(u[quad])) ** 2
+        denom = 1.0 - 2.0 * a_coef * a
+        ok = denom > 0.0
+        mom = np.ones_like(a)
+        mom[ok] = np.exp(a_coef * a[ok] * b2[ok] / denom[ok]) / np.sqrt(denom[ok])
+        moment[quad] = mom
+        valid[quad] = ok
 
     expo = alive & (psi > PSI_SWITCH)
     if expo.any():
@@ -133,50 +149,13 @@ def _qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
         draw = np.zeros_like(uu)
         tail = uu > p
         draw[tail] = np.log((1.0 - p[tail]) / (1.0 - uu[tail])) / beta[tail]
-        out[expo] = draw
-    return out
-
-
-def _qe_exp_moment(a_coef: float, m: np.ndarray,
-                   s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[exp(a_coef * V')] per path for the branch each path used.
-
-    Returns (moment, valid); invalid entries (outside the branch's domain,
-    which the tuning grids never reach) signal a fallback to the
-    uncorrected drift.
-    """
-    moment = np.ones_like(m)
-    valid = np.ones(m.shape, dtype=bool)
-    alive = m > 0.0
-    psi = np.ones_like(m)
-    np.divide(s2, m * m, out=psi, where=alive)
-
-    quad = alive & (psi <= PSI_SWITCH)
-    if quad.any():
-        inv_psi = 1.0 / psi[quad]
-        b2 = 2.0 * inv_psi - 1.0 + np.sqrt(2.0 * inv_psi) * np.sqrt(2.0 * inv_psi - 1.0)
-        a = m[quad] / (1.0 + b2)
-        denom = 1.0 - 2.0 * a_coef * a
-        ok = denom > 0.0
-        mom = np.ones_like(a)
-        mom[ok] = np.exp(a_coef * a[ok] * b2[ok] / denom[ok]) / np.sqrt(denom[ok])
-        moment[quad] = mom
-        v = valid[quad]
-        v &= ok
-        valid[quad] = v
-
-    expo = alive & (psi > PSI_SWITCH)
-    if expo.any():
-        p = (psi[expo] - 1.0) / (psi[expo] + 1.0)
-        beta = (1.0 - p) / m[expo]
+        v_next[expo] = draw
         ok = beta > a_coef
         mom = np.ones_like(p)
         mom[ok] = p[ok] + beta[ok] * (1.0 - p[ok]) / (beta[ok] - a_coef)
         moment[expo] = mom
-        v = valid[expo]
-        v &= ok
-        valid[expo] = v
-    return moment, valid
+        valid[expo] = ok
+    return v_next, moment, valid
 
 
 def heston_paths(params: HestonParams, n_paths: int, seed: int,
@@ -221,9 +200,7 @@ def heston_paths(params: HestonParams, n_paths: int, seed: int,
         s2 = v * c1 + c2
         u = rng.random(n_paths)
         z = rng.standard_normal(n_paths)
-        v_next = _qe_variance_step(v, m, s2, u)
-
-        moment, valid = _qe_exp_moment(a_coef, m, s2)
+        v_next, moment, valid = _qe_step(v, m, s2, u, a_coef)
         k0_star = -np.log(moment) - (k1 + 0.5 * k3) * v
         # outside the moment's domain fall back to the uncorrected drift
         if not valid.all():

@@ -10,6 +10,12 @@ its caching or book fast paths.  The agent object API (FcnAgent,
 build_agents, compute_factors, decide_order) states the FCN model one
 agent at a time; its tests pin the factor and order formulas.
 
+payoff (one path) and bs_price (the Black-Scholes call price) are the
+option analytics that only the tests use.  qe_variance_step and
+qe_exp_moment are the Heston QE update and its drift moment as two
+passes that each make the regime split, the oracle of
+stoch_models._qe_step.
+
 The per-path hedge accounting (compute_pl, HedgeOutcome), the per-prefix
 features and realized_vol (with its VolConfig settings), and the
 single-path delta_hedge_baseline are the one-path-at-a-time statements
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from hedgelab import autodiff
 from hedgelab.hedge_core import ANNUAL_DAYS, pl_core, position_change_matrix
@@ -44,6 +51,7 @@ from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
 from hedgelab.lob import Book, Order
 from hedgelab.neuralnet import LN_EPS
 from hedgelab.risk import ERM
+from hedgelab.stoch_models import PSI_SWITCH
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -382,6 +390,106 @@ def reference_session(config, population, seed=None):
     return np.array(raw), n_trades
 
 
+# ------------------------------------------------------ option analytics --
+
+def payoff(spec: OptionSpec, path: np.ndarray) -> float:
+    """Terminal payoff of ``spec`` for one price path of length n+1."""
+    path = np.asarray(path, dtype=np.float64)
+    if path.ndim != 1 or path.shape[0] != spec.maturity_days + 1:
+        raise ValueError(
+            f"path length {path.shape} does not match maturity {spec.maturity_days} (+1 sample)"
+        )
+    if spec.is_lookback:
+        return max(float(path.max()) - spec.strike, 0.0)
+    return max(float(path[-1]) - spec.strike, 0.0)
+
+
+def bs_price(spot, strike, vol, tau_years):
+    """Zero-rate Black-Scholes call price S N(d1) - K N(d2); scalar or
+    array arguments.  tau_years = 0 collapses to intrinsic value, and
+    spot = 0 is worth 0."""
+    spot = np.asarray(spot, dtype=np.float64)
+    scalar = spot.ndim == 0
+    spot = np.atleast_1d(spot)
+    out = np.maximum(spot - strike, 0.0)
+    if tau_years > 0.0:
+        pos = spot > 0.0
+        if np.any(pos):
+            v = vol[pos] if np.ndim(vol) else vol
+            sq = v * np.sqrt(tau_years)
+            d1 = (np.log(spot[pos] / strike) + 0.5 * v * v * tau_years) / sq
+            out[pos] = spot[pos] * ndtr(d1) - strike * ndtr(d1 - sq)
+    return float(out[0]) if scalar else out
+
+
+# ------------------------------------------------------------- Heston QE --
+
+def qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """One QE update of the variance given uniforms ``u``; vectorized."""
+    out = np.zeros_like(v)
+    alive = m > 0.0
+    psi = np.ones_like(v)
+    np.divide(s2, m * m, out=psi, where=alive)
+
+    quad = alive & (psi <= PSI_SWITCH)
+    if quad.any():
+        inv_psi = 1.0 / psi[quad]
+        b2 = 2.0 * inv_psi - 1.0 + np.sqrt(2.0 * inv_psi) * np.sqrt(2.0 * inv_psi - 1.0)
+        a = m[quad] / (1.0 + b2)
+        z = ndtri(u[quad])
+        out[quad] = a * (np.sqrt(b2) + z) ** 2
+
+    expo = alive & (psi > PSI_SWITCH)
+    if expo.any():
+        p = (psi[expo] - 1.0) / (psi[expo] + 1.0)
+        beta = (1.0 - p) / m[expo]
+        uu = u[expo]
+        draw = np.zeros_like(uu)
+        tail = uu > p
+        draw[tail] = np.log((1.0 - p[tail]) / (1.0 - uu[tail])) / beta[tail]
+        out[expo] = draw
+    return out
+
+
+def qe_exp_moment(a_coef: float, m: np.ndarray,
+                  s2: np.ndarray) -> tuple:
+    """(E[exp(a_coef * V')] per path for the branch each path used,
+    valid); an invalid entry lies outside its branch's domain."""
+    moment = np.ones_like(m)
+    valid = np.ones(m.shape, dtype=bool)
+    alive = m > 0.0
+    psi = np.ones_like(m)
+    np.divide(s2, m * m, out=psi, where=alive)
+
+    quad = alive & (psi <= PSI_SWITCH)
+    if quad.any():
+        inv_psi = 1.0 / psi[quad]
+        b2 = 2.0 * inv_psi - 1.0 + np.sqrt(2.0 * inv_psi) * np.sqrt(2.0 * inv_psi - 1.0)
+        a = m[quad] / (1.0 + b2)
+        denom = 1.0 - 2.0 * a_coef * a
+        ok = denom > 0.0
+        mom = np.ones_like(a)
+        mom[ok] = np.exp(a_coef * a[ok] * b2[ok] / denom[ok]) / np.sqrt(denom[ok])
+        moment[quad] = mom
+        v = valid[quad]
+        v &= ok
+        valid[quad] = v
+
+    expo = alive & (psi > PSI_SWITCH)
+    if expo.any():
+        p = (psi[expo] - 1.0) / (psi[expo] + 1.0)
+        beta = (1.0 - p) / m[expo]
+        ok = beta > a_coef
+        mom = np.ones_like(p)
+        mom[ok] = p[ok] + beta[ok] * (1.0 - p[ok]) / (beta[ok] - a_coef)
+        moment[expo] = mom
+        v = valid[expo]
+        v &= ok
+        valid[expo] = v
+    return moment, valid
+
+
 # ------------------------------------------------------- hedge accounting --
 
 @dataclass(frozen=True)
@@ -521,15 +629,12 @@ def load_paths(path):
     """Read a batch ``paths_io.save_paths`` wrote: (paths, meta), where
     meta is {} when no sidecar exists."""
     path = str(path)
-    if path.endswith(".npy"):
-        paths = np.load(path)
-    else:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("t_0"):
-                raise ValueError(f"{path}: not a path-batch CSV")
-            paths = np.array([[float(v) for v in line.split(",")]
-                              for line in fh if line.strip()])
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.startswith("t_0"):
+            raise ValueError(f"{path}: not a path-batch CSV")
+        paths = np.array([[float(v) for v in line.split(",")]
+                          for line in fh if line.strip()])
     meta = {}
     if os.path.exists(path + ".json"):
         with open(path + ".json") as fh:

@@ -2,7 +2,9 @@
 
 The ATM anchor bs_price(1, 1, 0.2, 0.08) = 0.0225646... is used across
 the suite; here it is pinned against an independent numeric-integration
-oracle (adaptive quadrature of the lognormal payoff expectation).
+oracle (adaptive quadrature of the lognormal payoff expectation).  The
+single-path payoff and bs_price live in _reference: only the tests use
+them, to check payoff_batch and bs_delta.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from _reference import bs_price, payoff
 from hedgelab.instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec,
-                                  bs_delta, bs_price, payoff, payoff_batch)
+                                  bs_delta, payoff_batch)
 
 
 def _bs_price_quadrature(spot, strike, vol, tau):

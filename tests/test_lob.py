@@ -103,10 +103,10 @@ class TestContinuousInsert:
     def test_submit_fast_path_matches_insert(self):
         book = Book()
         book.submit(False, 1.00, ttl=100)
-        fills = []
-        traded = book.submit(True, 1.00, ttl=100, fills=fills)
+        traded = book.submit(True, 1.00, ttl=100)
         assert traded == 1
-        assert fills == [Fill(0, 1.00, 1, 1, 0)]
+        assert book.last_price == 1.00
+        assert book.best_ask is None  # the resting ask was taken
         assert book.submit(True, 0.90, ttl=100) == 0
         assert book.best_bid == 0.90
 

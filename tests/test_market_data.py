@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from _reference import brute_kurtosis
-from hedgelab.market_data import (IndexSeries, StylizedStats, extract_windows,
-                                  lag_returns, load_series, raw_kurtosis,
-                                  stylized_stats, write_stats_csv)
+from hedgelab.market_data import (StylizedStats, extract_windows, lag_returns,
+                                  load_series, raw_kurtosis, stylized_stats,
+                                  write_stats_csv)
 
 
 def _write(tmp_path, text, name="series.csv"):
@@ -18,9 +18,8 @@ def _write(tmp_path, text, name="series.csv"):
 class TestLoadSeries:
     def test_valid_two_rows(self, tmp_path):
         p = _write(tmp_path, "date,close\n2024-01-02,4742.83\n2024-01-03,4704.81\n")
-        series = load_series(p, label="development")
+        series = load_series(p)
         assert len(series) == 2
-        assert series.label == "development"
         assert series.dates[0].isoformat() == "2024-01-02"
         np.testing.assert_array_equal(series.closes, [4742.83, 4704.81])
 
@@ -86,11 +85,13 @@ class TestExtractWindows:
         assert out[1, 0] == 1.0
         assert out[1, 1] == pytest.approx(7.0 / 6.0)
 
-    def test_accepts_index_series(self):
-        series = IndexSeries(dates=list(range(25)),
-                             closes=np.linspace(50, 60, 25))
-        out = extract_windows(series, window_days=21)
+    def test_windows_of_a_loaded_series(self, tmp_path):
+        closes = np.linspace(50, 60, 25)
+        p = _write(tmp_path, "date,close\n" + "".join(
+            f"2024-01-{d + 1:02d},{float(c)!r}\n" for d, c in enumerate(closes)))
+        out = extract_windows(load_series(p).closes, window_days=21)
         assert out.shape == (5, 21)
+        np.testing.assert_array_equal(out[4], closes[4:] / closes[4])
 
     def test_short_series_warns_and_is_empty(self):
         with pytest.warns(UserWarning, match="shorter"):

@@ -202,9 +202,7 @@ class TestBlockedForward:
         assert rows.stop - rows.start == 2 * FORWARD_BLOCK_ROWS
 
     def test_helper_error_in_backward_reaches_the_caller(self, monkeypatch):
-        # the helper fails on one of the four weight-gradient products,
-        # which go to helpers only beside a one-thread BLAS
-        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        # the helper fails on one of the four weight-gradient products
         x = np.random.default_rng(4).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
         _, backward = _randomized_policy()(x)
         g = np.zeros(x.shape[0])
@@ -216,18 +214,33 @@ class TestBlockedForward:
     @pytest.mark.parametrize("blas_threads", [1, 2])
     def test_backward_products_beside_the_chain_at_one_blas_thread(
             self, monkeypatch, blas_threads):
+        # the backward's products, and the pricing and training forwards'
+        # blocks, go to a helper beside a one-thread BLAS; beside a
+        # multi-thread BLAS the caller runs them all
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         monkeypatch.setattr(neuralnet, "_blas_threads", lambda: blas_threads)
-        fan_out, n_items = neuralnet._fan_out, []
+        starts = []
 
-        def recording_fan_out(work, items, n):
-            n_items.append(n)
-            fan_out(work, items, n)
+        class CountingThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
 
-        _, backward = _randomized_policy()(np.ones((64, 4)))
-        monkeypatch.setattr(neuralnet, "_fan_out", recording_fan_out)
-        backward(np.ones(64))
-        assert n_items == [4 if blas_threads == 1 else 1]
+        def started(call, *args):
+            starts.clear()
+            result = call(*args)
+            return len(starts), result
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        policy = _randomized_policy()
+        x = np.random.default_rng(2).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
+        g = np.zeros(x.shape[0])
+        g[::7] = 1.0
+        n_pricing, _ = started(policy.forward_np, x)
+        n_training, (_, backward) = started(policy, x)
+        n_backward, _ = started(backward, g)
+        helpers = 1 if blas_threads == 1 else 0
+        assert (n_pricing, n_training, n_backward) == (helpers,) * 3
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
@@ -248,6 +261,7 @@ class TestBlockedForward:
         # no pool or thread outlives a call, so a child forked after one
         # has none to wait on
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         policy = _randomized_policy()
         x = np.random.default_rng(6).normal(size=(4 * FORWARD_BLOCK_ROWS, 4))
         expected = policy.forward_np(x)
@@ -258,6 +272,7 @@ class TestBlockedForward:
     def test_forked_child_trains_after_train(self, monkeypatch):
         # the training forward's helpers are gone once train returns
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         expected = _train_state()
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_train_state).get(timeout=120)
@@ -266,8 +281,9 @@ class TestBlockedForward:
     def test_memory_is_one_block_per_thread(self, monkeypatch):
         # each thread holds one block's scratch (three float arrays, a
         # mask and the std); two threads fit the bound whatever the
-        # host's CPUs
+        # host's CPUs and BLAS threads
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         policy = _randomized_policy()
         x = np.random.default_rng(3).normal(size=(50 * FORWARD_BLOCK_ROWS, 4))
         tracemalloc.start()
@@ -285,6 +301,7 @@ class TestBlockedForward:
         # the cache is filled in place: beyond it and the positions, each
         # of the 2 threads holds at most one (block, 32) float array
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         policy = _randomized_policy()
         n = 5 * FORWARD_BLOCK_ROWS
         x = np.random.default_rng(3).normal(size=(n, 4))
@@ -315,12 +332,14 @@ def test_blas_threads_reads_openblas(blas_threads):
 
 
 def _fail_in_a_helper(monkeypatch, call, *args):
-    """Runs ``call(*args)`` on 2 threads with every ``_fan_out`` item
+    """Runs ``call(*args)`` on 2 threads (as beside a one-thread BLAS,
+    whatever this process's BLAS runs) with every ``_fan_out`` item
     failing on the helper thread, checks that the error reaches the
     caller and leaves no thread behind, and returns the one item the
     helper got.  The caller's items wait until the helper has failed, so
     the helper always gets one."""
     monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+    monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
     fan_out, caller = neuralnet._fan_out, threading.get_ident()
     failed, helper_failed = [], threading.Event()
 

@@ -1,5 +1,5 @@
-"""Path-batch round-trips through CSV and .npy with JSON sidecars, read
-back by the reference reader in ``_reference``."""
+"""Path-batch round-trips through CSV with JSON sidecars, read back by
+the reference reader in ``_reference``."""
 
 import json
 
@@ -29,15 +29,6 @@ def test_csv_header_names_columns(tmp_path):
     save_paths(p, _batch(shape=(2, 4)), {})
     header = p.read_text().split("\n", 1)[0]
     assert header == "t_0,t_1,t_2,t_3"
-
-
-def test_npy_round_trip(tmp_path):
-    paths = _batch(seed=1)
-    p = tmp_path / "paths.npy"
-    save_paths(p, paths, {"n": 5})
-    loaded, meta = load_paths(p)
-    np.testing.assert_array_equal(loaded, paths)
-    assert meta == {"n": 5}
 
 
 def test_sidecar_format(tmp_path):

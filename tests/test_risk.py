@@ -161,8 +161,9 @@ def test_indifference_price_oracles():
 
 @given(samples_arrays)
 def test_indifference_root_verified(x):
-    # verify=True recomputes u(PL + p) and raises on residual; any sample
-    # set that survives has the defining equation satisfied numerically
+    # indifference_price recomputes u(PL + p) and raises on residual; any
+    # sample set that survives has the defining equation satisfied
+    # numerically
     for measure in (RiskMeasure("erm", lam=1.0), RiskMeasure("cvar", alpha=0.9)):
-        p = indifference_price(x, measure, verify=True)
+        p = indifference_price(x, measure)
         assert np.isfinite(p)

@@ -9,8 +9,9 @@ Closed forms used:
 import numpy as np
 import pytest
 
-from hedgelab.stoch_models import (GbmParams, HestonParams, gbm_paths,
-                                   heston_paths)
+from _reference import qe_exp_moment, qe_variance_step
+from hedgelab.stoch_models import (PSI_SWITCH, GbmParams, HestonParams,
+                                   _qe_step, gbm_paths, heston_paths)
 
 
 def test_gbm_validation():
@@ -156,3 +157,33 @@ def test_heston_determinism():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (64, 21)
     np.testing.assert_array_equal(a[:, 0], 1.0)
+
+
+def test_qe_step_equals_the_two_pass_reference():
+    # conditional means (0 is an absorbed path) times psi = s2/m^2 on
+    # both sides of the switch, each with uniforms below and above the
+    # exponential branch's atom p; a_coef from negative to past both
+    # branches' moment domains (1 - 2 a_coef a <= 0, beta <= a_coef)
+    m_grid, psi_grid = np.meshgrid([0.0, 1e-3, 0.04, 0.5, 2.0],
+                                   [0.05, 0.7, 1.0, PSI_SWITCH, 1.6, 3.0, 40.0])
+    m = np.tile(m_grid.ravel(), 8)
+    s2 = np.tile((psi_grid * m_grid * m_grid).ravel(), 8)
+    u = np.random.default_rng(0).random(m.size)
+    v = np.random.default_rng(1).random(m.size)
+    alive = m > 0.0
+    psi = np.divide(s2, m * m, out=np.ones_like(m), where=alive)
+    quad, expo = alive & (psi <= PSI_SWITCH), alive & (psi > PSI_SWITCH)
+    p = (psi - 1.0) / (psi + 1.0)
+    assert (expo & (u <= p)).any() and (expo & (u > p)).any()
+    seen = {"quad_invalid": False, "expo_invalid": False}
+    for a_coef in (-3.0, 0.0, 0.6, 60.0, 1e4):
+        v_next, moment, valid = _qe_step(v, m, s2, u, a_coef)
+        ref_v = qe_variance_step(v, m, s2, u)
+        ref_moment, ref_valid = qe_exp_moment(a_coef, m, s2)
+        assert v_next.tobytes() == ref_v.tobytes(), a_coef
+        assert moment.tobytes() == ref_moment.tobytes(), a_coef
+        assert np.array_equal(valid, ref_valid), a_coef
+        assert np.all(v_next[~alive] == 0.0) and np.all(valid[~alive])
+        seen["quad_invalid"] |= bool((quad & ~valid).any())
+        seen["expo_invalid"] |= bool((expo & ~valid).any())
+    assert seen == {"quad_invalid": True, "expo_invalid": True}
