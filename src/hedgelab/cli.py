@@ -63,15 +63,14 @@ DEFAULT_CONFIG = {
     "train": {"paths": 1000, "epochs": 10, "lr": 1e-3, "minibatch": 256,
               "val_split": 0.2},
     "eval": {"source": None, "n_paths": 1000, "stride": 1},
-    "tune": {"trials": 20, "strategy": "tpe_like", "space": None,
-             "n_paths": 1000, "epochs": 10, "eval_n_paths": 1000},
+    "tune": {"trials": 20, "strategy": "tpe_like", "n_paths": 1000,
+             "epochs": 10},
     "stats": {"n_paths": 1000, "max_lag": 20, "bin_width": 0.5},
     "checkpoint": None,
 }
 
 # the type a leaf whose default is null takes when it is set
-NULLABLE = {"market.order_ttl": int, "eval.source": str, "tune.space": str,
-            "checkpoint": str}
+NULLABLE = {"market.order_ttl": int, "eval.source": str, "checkpoint": str}
 
 # (flag, config key it sets, subcommands that take it)
 FLAGS = (("--seed", "seed", ("gen-paths", "train", "price", "tune", "stats",
@@ -93,13 +92,12 @@ RANGES = {"seed": _NONNEGATIVE, "cost_rate": _NONNEGATIVE,
           "train.val_split": (lambda v: 0 <= v < 1, "in [0, 1)"),
           "eval.n_paths": _COUNT, "eval.stride": _COUNT,
           "tune.trials": _COUNT, "tune.n_paths": _COUNT,
-          "tune.epochs": _NONNEGATIVE, "tune.eval_n_paths": _COUNT,
+          "tune.epochs": _NONNEGATIVE,
           "stats.n_paths": _COUNT, "stats.max_lag": _COUNT,
           "stats.bin_width": _POSITIVE}
 GENERATORS = ("gbm", "heston", "market")
 # config key -> the values it accepts, checked by build_params
-CHOICES = {"generator": GENERATORS, "tune.strategy": STRATEGIES,
-           "tune.space": (None,) + GENERATORS}
+CHOICES = {"generator": GENERATORS, "tune.strategy": STRATEGIES}
 
 
 # ---------------------------------------------------------------- config --
@@ -285,6 +283,32 @@ def _train_policy(cfg, spec, measure, sim, seed, parallel):
                  val_split=tr["val_split"])
 
 
+def _checkpoint_policy(cfg: dict) -> MlpPolicy:
+    """The policy of ``checkpoint``, refused unless it was trained to
+    hedge the configured option; the generator and measure may differ."""
+    try:
+        policy, meta = load_policy(cfg["checkpoint"])
+    except ValueError as exc:
+        raise ValueError(f"config key 'checkpoint': {exc}") from None
+    for key, value in cfg["option"].items():
+        if meta["option"][key] != value:
+            raise ValueError(f"config key 'option.{key}' is {value!r}; "
+                             f"'checkpoint' hedges {meta['option'][key]!r}")
+    return policy
+
+
+def tune_trial_paths(cfg: dict, parallel: int = 1):
+    """A tune trial's paths: its settings merged over ``cfg``, then built
+    and drawn as every subcommand builds and draws its paths."""
+    def trial_paths(settings: dict, n_paths: int, seed: int):
+        trial_cfg = copy.deepcopy(cfg)
+        for key, value in settings.items():
+            _deep_merge(trial_cfg, _nest(key, value))
+        _, _, sim = build_params(trial_cfg)
+        return generate_paths(sim, n_paths, seed, parallel)[0]
+    return trial_paths
+
+
 # ---------------------------------------------------------- subcommands --
 
 def cmd_gen_paths(args, cfg, spec, measure, sim, out_dir) -> int:
@@ -302,7 +326,8 @@ def cmd_train(args, cfg, spec, measure, sim, out_dir) -> int:
     policy, report = _train_policy(cfg, spec, measure, sim, cfg["seed"],
                                    args.parallel)
     save_policy(policy, os.path.join(out_dir, "checkpoint.npz"),
-                config_hash=config_hash(cfg))
+                config_hash=config_hash(cfg), option=cfg["option"],
+                cost_rate=cfg["cost_rate"], generator=cfg["generator"])
     write_report_csv(report, os.path.join(out_dir, "training_report.csv"))
     for line in report.diagnostics:
         print(f"note: {line}")
@@ -314,9 +339,7 @@ def cmd_train(args, cfg, spec, measure, sim, out_dir) -> int:
 def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
     seed = cfg["seed"]
     if cfg["checkpoint"]:
-        policy, _ = load_policy(cfg["checkpoint"])
-        if policy.in_width != feature_width(spec):
-            raise ValueError("checkpoint feature width does not match option")
+        policy = _checkpoint_policy(cfg)
     else:
         policy, _ = _train_policy(cfg, spec, measure, sim, seed, args.parallel)
     paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
@@ -331,17 +354,16 @@ def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
 
 
 def cmd_tune(args, cfg, spec, measure, sim, out_dir) -> int:
-    tu = cfg["tune"]
-    space_name = tu["space"] or cfg["generator"]
-    factories = {"gbm": SearchSpace.gbm, "heston": SearchSpace.heston,
-                 "market": SearchSpace.market}
-    space = factories[space_name]()
+    tu, generator = cfg["tune"], cfg["generator"]
     budget = StudyBudget(n_paths=tu["n_paths"], epochs=tu["epochs"],
                          minibatch=cfg["train"]["minibatch"],
-                         cost_rate=cfg["cost_rate"],
-                         n_eval_paths=tu["eval_n_paths"],
-                         market_parallel=args.parallel)
-    result = run_study(space, space_name, spec, measure, tu["trials"], budget,
+                         cost_rate=cfg["cost_rate"])
+    eval_paths, _ = evaluation_paths(cfg, sim, _derive(cfg["seed"], 0xE7A1),
+                                     args.parallel)
+    result = run_study(getattr(SearchSpace, generator)(),
+                       {"generator": generator, generator: cfg[generator]},
+                       spec, measure, tu["trials"], budget, eval_paths,
+                       tune_trial_paths(cfg, args.parallel),
                        seed=cfg["seed"], strategy=tu["strategy"],
                        ledger_path=os.path.join(out_dir, "ledger.csv"),
                        best_path=os.path.join(out_dir, "best.json"))

@@ -69,7 +69,7 @@ GATHER_MIN_BATCH_ROWS = 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class MlpPolicy:
@@ -568,11 +568,14 @@ def train(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
     return policy, report
 
 
-def save_policy(policy: MlpPolicy, path, config_hash: str = "") -> None:
-    """Versioned npz checkpoint with embedded metadata."""
+def save_policy(policy: MlpPolicy, path, *, option: dict, cost_rate: float,
+                generator: str, config_hash: str = "") -> None:
+    """Versioned npz checkpoint; its metadata records what the policy was
+    trained to hedge: the option section, the cost rate, the generator."""
     meta = json.dumps({"version": CHECKPOINT_VERSION,
                        "in_width": policy.in_width,
-                       "config_hash": config_hash})
+                       "config_hash": config_hash, "option": option,
+                       "cost_rate": cost_rate, "generator": generator})
     arrays = {f"p{i}": p for i, p in enumerate(policy.params)}
     np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 

@@ -53,7 +53,7 @@ class GbmParams:
 
 @dataclass(frozen=True)
 class HestonParams:
-    """CIR variance parameters; initial vol convention sqrt(theta) = sqrt(v0)."""
+    """CIR variance parameters and the price-variance correlation."""
 
     kappa: float = 1.0
     theta: float = 0.04
@@ -74,14 +74,6 @@ class HestonParams:
             raise ValueError("rho must lie in [-1, 1]")
         if self.dt <= 0.0 or self.n_steps < 1:
             raise ValueError("dt must be positive and n_steps >= 1")
-
-    @classmethod
-    def from_initial_vol(cls, sigma_init: float, kappa: float, rho: float,
-                         n_steps: int = 20) -> "HestonParams":
-        """Tuning-grid convention: one knob sets sqrt(theta) = sqrt(v0),
-        with the default vol of vol and dt."""
-        return cls(kappa=kappa, theta=sigma_init ** 2, v0=sigma_init ** 2,
-                   rho=rho, n_steps=n_steps)
 
 
 def gbm_paths(params: GbmParams, n_paths: int, seed: int,

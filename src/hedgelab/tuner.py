@@ -12,8 +12,13 @@ tables with add-one smoothing, and draw each key proportionally to the
 good/bad frequency ratio.  The first 20 trials (and any history too thin
 to split) fall back to uniform sampling.
 
-A study minimizes the indifference price of the trained policy on one
-fixed evaluation path set shared by every trial, so objectives are
+Each column of a space states the dotted config keys it sets (``mu``
+sets ``gbm.mu``; ``sigma_init`` sets ``heston.v0`` and ``heston.theta``
+to its square).  A study draws a trial's paths through the caller's
+function of those settings and builds no simulator itself.
+
+A study minimizes the indifference price of the trained policy on the
+caller's evaluation path set, shared by every trial, so objectives are
 comparable.  The ledger is an append-only CSV; rerunning a study with an
 existing ledger resumes after the recorded trials.  The ledger's JSON
 sidecar (same filename + .json) records the study hash, and a ledger is
@@ -28,17 +33,16 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .fcn_agents import AgentPopulation, DegenerateSessionError, MarketConfig
+from .fcn_agents import DegenerateSessionError
 from .hedge_core import feature_width
 from .instruments import OptionSpec
 from .neuralnet import MlpPolicy, policy_price, train
 from .risk import RiskMeasure
-from .stoch_models import GbmParams, HestonParams
 
 STRATEGIES = ("random", "tpe_like")
 TPE_WARMUP = 20
@@ -57,6 +61,9 @@ LR_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 class SearchSpace:
     grids: dict
     constraints: tuple = ()  # (lo_key, hi_key) pairs, lo <= hi required
+    # column -> the dotted config key it sets to its value, or a function
+    # of its value returning {dotted key: value}
+    sets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for key, grid in self.grids.items():
@@ -75,18 +82,33 @@ class SearchSpace:
         return all(assignment[lo] <= assignment[hi]
                    for lo, hi in self.constraints)
 
+    def settings(self, assignment: dict) -> dict:
+        """{dotted config key: value} of every column of ``assignment``."""
+        out = {}
+        for key in self.keys():
+            rule = self.sets[key]
+            out.update(rule(assignment[key]) if callable(rule)
+                       else {rule: assignment[key]})
+        return out
+
     @classmethod
     def gbm(cls) -> "SearchSpace":
         return cls({"lr": LR_GRID,
                     "mu": _steps(-0.25, 0.25, 0.05),
-                    "sigma": _steps(0.05, 0.50, 0.05)})
+                    "sigma": _steps(0.05, 0.50, 0.05)},
+                   sets={"lr": "train.lr", "mu": "gbm.mu",
+                         "sigma": "gbm.sigma"})
 
     @classmethod
     def heston(cls) -> "SearchSpace":
         return cls({"lr": LR_GRID,
                     "kappa": _steps(0.0, 0.5, 0.05),
                     "sigma_init": _steps(0.05, 0.50, 0.05),
-                    "rho": _steps(-1.0, 1.0, 0.05)})
+                    "rho": _steps(-1.0, 1.0, 0.05)},
+                   # sigma_init is the initial and the long-run vol
+                   sets={"lr": "train.lr", "kappa": "heston.kappa",
+                         "rho": "heston.rho", "sigma_init": lambda v: {
+                             "heston.v0": v ** 2, "heston.theta": v ** 2}})
 
     @classmethod
     def market(cls) -> "SearchSpace":
@@ -105,7 +127,15 @@ class SearchSpace:
                     "k_max": (0.0, 0.05, 0.1, 0.15, 0.2)},
                    constraints=(("tau_star_min", "tau_star_max"),
                                 ("tau_min", "tau_max"),
-                                ("k_min", "k_max")))
+                                ("k_min", "k_max")),
+                   sets={"lr": "train.lr",
+                         "n_agent_step": "market.agents_per_step",
+                         "sigma_star": "market.sigma_star",
+                         "sigma": "market.sigma",
+                         **{key: f"market.population.{key}"
+                            for key in ("w_f", "w_c", "tau_star_min",
+                                        "tau_star_max", "tau_min", "tau_max",
+                                        "k_min", "k_max")}})
 
 
 @dataclass
@@ -117,31 +147,27 @@ class Trial:
     seed: int = 0
 
 
-def _uniform_assignment(space: SearchSpace, rng) -> dict:
-    keys = space.keys()
+def _constrained_draw(space: SearchSpace, draw_index) -> dict:
+    """Redraw whole assignments until one meets the constraints;
+    ``draw_index(key)`` picks one position on ``key``'s grid."""
     for _ in range(100_000):
-        a = {k: space.grids[k][rng.integers(len(space.grids[k]))] for k in keys}
+        a = {k: space.grids[k][draw_index(k)] for k in space.keys()}
         if space.satisfies(a):
             return a
     raise RuntimeError("rejection sampling failed; constraints too tight")
 
 
-def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
-    """Draw one constrained assignment; strategy 'random' or 'tpe_like'."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    if strategy == "random":
-        return _uniform_assignment(space, rng)
-
+def _tpe_weights(space: SearchSpace, history):
+    """Per-key grid weights from the good/bad split of finished trials,
+    or None while the history is too thin to split."""
     finished = [t for t in history if math.isfinite(t.objective)]
     if len(history) < TPE_WARMUP or len(finished) < 4:
-        return _uniform_assignment(space, rng)
+        return None
     finished = sorted(finished, key=lambda t: t.objective)
     n_good = max(1, math.ceil(TPE_GOOD_FRACTION * len(finished)))
     good, bad = finished[:n_good], finished[n_good:]
     if not bad:
-        return _uniform_assignment(space, rng)
+        return None
 
     weights = {}
     for key in space.keys():
@@ -157,13 +183,20 @@ def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
         w = np.array([(g_counts[v] / g_tot) / (b_counts[v] / b_tot)
                       for v in grid])
         weights[key] = w / w.sum()
+    return weights
 
-    for _ in range(100_000):
-        a = {k: space.grids[k][rng.choice(len(space.grids[k]), p=weights[k])]
-             for k in space.keys()}
-        if space.satisfies(a):
-            return a
-    raise RuntimeError("rejection sampling failed; constraints too tight")
+
+def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
+    """Draw one constrained assignment; strategy 'random' or 'tpe_like'."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rng = np.random.default_rng(seed)
+    weights = _tpe_weights(space, history) if strategy == "tpe_like" else None
+    if weights is None:
+        return _constrained_draw(
+            space, lambda k: rng.integers(len(space.grids[k])))
+    return _constrained_draw(
+        space, lambda k: rng.choice(len(space.grids[k]), p=weights[k]))
 
 
 @dataclass
@@ -174,65 +207,22 @@ class StudyBudget:
     epochs: int = 10
     minibatch: int = 256
     cost_rate: float = 0.0
-    n_eval_paths: int = 1000
-    market_parallel: int = 1
-
-
-def trial_paths(generator: str, assignment: dict, spec: OptionSpec,
-                budget: StudyBudget, seed: int) -> np.ndarray:
-    """Generate one trial's training paths from its simulator assignment."""
-    from .cli import generate_paths  # cli imports this module
-    n_steps = spec.maturity_days
-    if generator == "gbm":
-        params = GbmParams(mu=assignment["mu"], sigma=assignment["sigma"],
-                           n_steps=n_steps)
-    elif generator == "heston":
-        params = HestonParams.from_initial_vol(
-            assignment["sigma_init"], kappa=assignment["kappa"],
-            rho=assignment["rho"], n_steps=n_steps)
-    elif generator == "market":
-        params = (MarketConfig(agents_per_step=assignment["n_agent_step"],
-                               sigma_star=assignment["sigma_star"],
-                               sigma=assignment["sigma"], days=n_steps),
-                  AgentPopulation(
-                      w_f=assignment["w_f"], w_c=assignment["w_c"],
-                      tau_star_min=assignment["tau_star_min"],
-                      tau_star_max=assignment["tau_star_max"],
-                      tau_min=assignment["tau_min"],
-                      tau_max=assignment["tau_max"],
-                      k_min=assignment["k_min"], k_max=assignment["k_max"]))
-    else:
-        raise ValueError(f"unknown generator {generator!r}")
-    paths, _ = generate_paths(params, budget.n_paths, seed,
-                              budget.market_parallel)
-    return paths
-
-
-def default_assignment(generator: str, lr: float = 1e-3) -> dict:
-    """The no-tuning baseline: prior-study defaults for each generator."""
-    if generator == "gbm":
-        return {"lr": lr, "mu": 0.0, "sigma": 0.2}
-    if generator == "heston":
-        return {"lr": lr, "kappa": 1.0, "sigma_init": 0.2, "rho": -0.7}
-    if generator == "market":
-        return {"lr": lr, "n_agent_step": 5, "w_f": 1, "w_c": 1,
-                "sigma_star": 1e-3, "sigma": 1e-3,
-                "tau_star_min": 100, "tau_star_max": 200,
-                "tau_min": 1, "tau_max": 20, "k_min": 0.0, "k_max": 0.05}
-    raise ValueError(f"unknown generator {generator!r}")
 
 
 class TrialFailed(ArithmeticError):
     """A trial trained no finite epoch or priced to a non-finite value."""
 
 
-def evaluate_assignment(generator: str, assignment: dict, spec: OptionSpec,
-                        measure: RiskMeasure, budget: StudyBudget,
-                        eval_paths: np.ndarray, seed_parts) -> float:
-    """Full trial pipeline: paths -> train -> price on the shared eval set."""
+def evaluate_assignment(space: SearchSpace, assignment: dict,
+                        spec: OptionSpec, measure: RiskMeasure,
+                        budget: StudyBudget, eval_paths: np.ndarray,
+                        trial_paths, seed_parts) -> float:
+    """Full trial pipeline: paths -> train -> price on the shared eval set;
+    ``trial_paths(space.settings(assignment), n_paths, seed)`` draws the
+    trial's training paths."""
     ss = np.random.SeedSequence(seed_parts)
     s_path, s_init, s_train = (int(x) for x in ss.generate_state(3))
-    paths = trial_paths(generator, assignment, spec, budget, s_path)
+    paths = trial_paths(space.settings(assignment), budget.n_paths, s_path)
     policy = MlpPolicy(feature_width(spec), seed=s_init)
     policy, report = train(policy, paths, spec, measure,
                            lr=assignment["lr"], epochs=budget.epochs,
@@ -244,13 +234,6 @@ def evaluate_assignment(generator: str, assignment: dict, spec: OptionSpec,
     if not math.isfinite(price):
         raise TrialFailed("non-finite evaluation price")
     return price
-
-
-def default_eval_paths(generator: str, spec: OptionSpec,
-                       budget: StudyBudget, seed) -> np.ndarray:
-    """Held-out evaluation set from the generator's default assignment."""
-    return trial_paths(generator, default_assignment(generator), spec,
-                       budget, int(np.random.SeedSequence(seed).generate_state(1)[0]))
 
 
 class StudyResult(NamedTuple):
@@ -282,41 +265,39 @@ def read_ledger(path, space: SearchSpace) -> list:
     return trials
 
 
-def study_hash(space: SearchSpace, generator: str, spec: OptionSpec,
+def study_hash(space: SearchSpace, simulator: dict, spec: OptionSpec,
                measure: RiskMeasure, budget: StudyBudget,
                eval_paths: np.ndarray, seed: int, strategy: str) -> str:
     """Identity of a study's trial sequence and objectives.
 
     Covers everything a trial's result depends on: the seed, the
-    generator and its evaluation paths, the option, the measure, the
-    budget (the worker count aside, which changes no output), the
-    strategy and the space.
+    simulator the trial paths start from, the evaluation paths, the
+    option, the measure, the budget, the strategy and the space.
     """
-    budget_fields = asdict(budget)
-    del budget_fields["market_parallel"]
     eval_digest = hashlib.sha256(
         np.ascontiguousarray(eval_paths, dtype=float).tobytes()).hexdigest()
-    blob = json.dumps({"seed": seed, "generator": generator,
+    blob = json.dumps({"seed": seed, "simulator": simulator,
                        "eval_paths": eval_digest, "option": asdict(spec),
-                       "measure": asdict(measure), "budget": budget_fields,
+                       "measure": asdict(measure), "budget": asdict(budget),
                        "strategy": strategy, "grids": space.grids,
                        "constraints": space.constraints}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
+def run_study(space: SearchSpace, simulator: dict, spec: OptionSpec,
               measure: RiskMeasure, n_trials: int, budget: StudyBudget,
-              eval_paths: Optional[np.ndarray] = None, seed: int = 0,
+              eval_paths: np.ndarray, trial_paths, seed: int = 0,
               strategy: str = "tpe_like", ledger_path=None,
               best_path=None) -> StudyResult:
     """Sequential study; trial randomness keys off (seed, trial index) only,
-    so reruns and resumed runs reproduce the same trial sequence."""
+    so reruns and resumed runs reproduce the same trial sequence.
+    ``simulator`` is what ``trial_paths`` draws from beside a trial's
+    settings (the generator and its config section), for the study hash.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if eval_paths is None:
-        eval_paths = default_eval_paths(generator, spec, budget, (seed, 0xE7A1))
     keys = space.keys()
-    digest = study_hash(space, generator, spec, measure, budget, eval_paths,
+    digest = study_hash(space, simulator, spec, measure, budget, eval_paths,
                         seed, strategy)
 
     trials = []
@@ -348,8 +329,8 @@ def run_study(space: SearchSpace, generator: str, spec: OptionSpec,
         trial = Trial(idx, assignment, seed=sampler_seed)
         try:
             trial.objective = evaluate_assignment(
-                generator, assignment, spec, measure, budget, eval_paths,
-                (seed, idx))
+                space, assignment, spec, measure, budget, eval_paths,
+                trial_paths, (seed, idx))
             trial.status = "ok"
         except DegenerateSessionError:
             trial.status = "degenerate"

@@ -33,6 +33,11 @@ loss and parameter gradients bit for bit.  reference_forward is the
 policy forward as one unblocked, allocating pass on one thread, with the
 cache MlpPolicy._backward reads; the blocked, threaded forwards of
 MlpPolicy must reproduce its positions and cache bit for bit.
+
+trial_paths is a tune trial's paths built by hand from its assignment,
+column by column into the simulator's typed parameters, and
+default_assignment is each generator's no-tuning baseline: the oracle
+of the config route (cli.tune_trial_paths, cli.evaluation_paths).
 """
 
 import csv
@@ -46,12 +51,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from hedgelab import autodiff
+from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.hedge_core import ANNUAL_DAYS, pl_core, position_change_matrix
 from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
 from hedgelab.lob import Book, Order
 from hedgelab.neuralnet import LN_EPS
 from hedgelab.risk import ERM
-from hedgelab.stoch_models import PSI_SWITCH
+from hedgelab.stoch_models import (PSI_SWITCH, GbmParams, HestonParams,
+                                   gbm_paths, heston_paths)
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -621,6 +628,45 @@ def delta_hedge_baseline_batch(paths: np.ndarray, spec: OptionSpec,
     for i in range(n):
         out[:, i] = bs_delta(paths[:, i], spec.strike, vol, (n - i) / ANNUAL_DAYS)
     return out
+
+
+# ------------------------------------------------------------ tune trials --
+
+def trial_paths(generator: str, assignment: dict, n_steps: int,
+                n_paths: int, seed: int, parallel: int = 1) -> np.ndarray:
+    """One trial's training paths from its simulator assignment; every
+    field the assignment does not set keeps its dataclass default."""
+    if generator == "gbm":
+        params = GbmParams(mu=assignment["mu"], sigma=assignment["sigma"],
+                           n_steps=n_steps)
+        return gbm_paths(params, n_paths, seed)
+    if generator == "heston":
+        var = assignment["sigma_init"] ** 2
+        params = HestonParams(kappa=assignment["kappa"], theta=var, v0=var,
+                              rho=assignment["rho"], n_steps=n_steps)
+        return heston_paths(params, n_paths, seed)
+    config = MarketConfig(agents_per_step=assignment["n_agent_step"],
+                          sigma_star=assignment["sigma_star"],
+                          sigma=assignment["sigma"], days=n_steps, seed=seed)
+    population = AgentPopulation(
+        w_f=assignment["w_f"], w_c=assignment["w_c"],
+        tau_star_min=assignment["tau_star_min"],
+        tau_star_max=assignment["tau_star_max"],
+        tau_min=assignment["tau_min"], tau_max=assignment["tau_max"],
+        k_min=assignment["k_min"], k_max=assignment["k_max"])
+    return simulate_paths(config, population, n_paths, parallel=parallel)[0]
+
+
+def default_assignment(generator: str, lr: float = 1e-3) -> dict:
+    """The no-tuning baseline: prior-study defaults for each generator."""
+    return {"gbm": {"lr": lr, "mu": 0.0, "sigma": 0.2},
+            "heston": {"lr": lr, "kappa": 1.0, "sigma_init": 0.2,
+                       "rho": -0.7},
+            "market": {"lr": lr, "n_agent_step": 5, "w_f": 1, "w_c": 1,
+                       "sigma_star": 1e-3, "sigma": 1e-3,
+                       "tau_star_min": 100, "tau_star_max": 200,
+                       "tau_min": 1, "tau_max": 20, "k_min": 0.0,
+                       "k_max": 0.05}}[generator]
 
 
 # ------------------------------------------------------------- path files --

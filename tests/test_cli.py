@@ -12,7 +12,8 @@ import yaml
 
 import hedgelab
 from _reference import load_paths
-from hedgelab.cli import (DEFAULT_CONFIG, config_hash, load_config, main)
+from hedgelab.cli import (CHOICES, DEFAULT_CONFIG, FLAGS, NULLABLE, RANGES,
+                          config_hash, load_config, main)
 from hedgelab.neuralnet import load_policy
 
 
@@ -143,7 +144,8 @@ class TestMainErrors:
         ("tune", {}, {"tune": {"trials": 0}}, "tune.trials"),
         ("tune", {}, {"tune": {"n_paths": 0}}, "tune.n_paths"),
         ("tune", {}, {"tune": {"epochs": -1}}, "tune.epochs"),
-        ("tune", {}, {"tune": {"eval_n_paths": 0}}, "tune.eval_n_paths"),
+        # gone: the tune eval set is eval.*, the space is the generator's
+        ("tune", {}, {"tune": {"eval_n_paths": 30}}, "tune.eval_n_paths"),
         ("stats", {}, {"stats": {"n_paths": 0}}, "stats.n_paths"),
         ("stats", {}, {"stats": {"max_lag": 0}}, "stats.max_lag"),
         ("stats", {}, {"stats": {"bin_width": -1}}, "stats.bin_width"),
@@ -152,22 +154,44 @@ class TestMainErrors:
         # named choices too, before a tune writes its ledger
         ("gen-paths --paths 5", {}, {"generator": "sabr"}, "generator"),
         ("tune", {}, {"tune": {"strategy": "bogus"}}, "tune.strategy"),
-        ("tune", {}, {"tune": {"space": "sabr"}}, "tune.space"),
+        ("tune", {}, {"tune": {"space": "gbm"}}, "tune.space"),
         ("tune", {"HEDGELAB__GENERATOR": "sabr"}, None, "generator"),
+        # a checkpoint prices only the option it was trained to hedge
+        ("price", {}, {"checkpoint": "TRAINED",
+                       "option": {"maturity_days": 5}}, "option.maturity_days"),
+        ("price", {}, {"checkpoint": "TRAINED", "option": {"strike": 1.1}},
+         "option.strike"),
+        ("price", {}, {"checkpoint": "VERSION_1"}, "checkpoint"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, monkeypatch,
-                                              capsys, command, env, tree,
-                                              key):
+                                              capsys, request, command, env,
+                                              tree, key):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         out = tmp_path / "out"
         argv = [*command.split(), "--out", str(out)]
         if tree is not None:
+            if "checkpoint" in tree:
+                tree = {**tree, "checkpoint": str(
+                    request.getfixturevalue("checkpoints")[tree["checkpoint"]])}
             argv += ["--config", str(_write_cfg(tmp_path, tree))]
         assert main(argv) == 2
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        if tree is not None and "checkpoint" in tree:
+            assert "'checkpoint'" in err
         assert not (out / "manifest.json").exists()
         assert not (out / "ledger.csv").exists()
+        assert not (out / "price.csv").exists()
+
+    def test_every_checked_key_is_a_config_key(self):
+        # a stale key would make every command exit 2 through KeyError
+        keys = [*RANGES, *CHOICES, *NULLABLE, *(key for _, key, _ in FLAGS)]
+        for key in keys:
+            tree = DEFAULT_CONFIG
+            for part in key.split("."):
+                assert isinstance(tree, dict) and part in tree, key
+                tree = tree[part]
 
     def test_flag_of_another_subcommand_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -365,6 +389,22 @@ def trained(tmp_path_factory):
     return tmp, cfg, out
 
 
+@pytest.fixture(scope="module")
+def checkpoints(trained, tmp_path_factory):
+    """The trained checkpoint, and the same weights under a version-1
+    record, which stored no option."""
+    _, _, out = trained
+    with np.load(out / "checkpoint.npz") as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    old = {"version": 1, "in_width": meta["in_width"],
+           "config_hash": meta["config_hash"]}
+    arrays["meta"] = np.frombuffer(json.dumps(old).encode(), dtype=np.uint8)
+    v1 = tmp_path_factory.mktemp("v1") / "checkpoint.npz"
+    np.savez(v1, **arrays)
+    return {"TRAINED": out / "checkpoint.npz", "VERSION_1": v1}
+
+
 class TestTrainAndPrice:
     def test_train_artifacts(self, trained):
         _, _, out = trained
@@ -373,6 +413,13 @@ class TestTrainAndPrice:
         assert lines[0] == "epoch,val_price"
         assert len(lines) == 3  # two epochs
         float(lines[1].split(",")[1])
+
+    def test_checkpoint_records_what_it_hedges(self, trained):
+        _, _, out = trained
+        _, meta = load_policy(out / "checkpoint.npz")
+        assert meta["version"] == 2
+        assert meta["option"] == DEFAULT_CONFIG["option"]
+        assert (meta["cost_rate"], meta["generator"]) == (0.0, "gbm")
 
     def test_price_with_checkpoint(self, trained, tmp_path):
         tmp, _, out = trained
@@ -410,7 +457,9 @@ class TestTrainAndPrice:
         rc = main(["price", "--config", str(cfg),
                    "--out", str(tmp_path / "po")])
         assert rc == 2
-        assert "feature width" in capsys.readouterr().err
+        # the lookback's extra feature: refused by the option kind
+        err = capsys.readouterr().err
+        assert "'option.kind'" in err and "'checkpoint'" in err
 
     def test_price_on_csv_eval_source(self, trained, tmp_path):
         _, _, out = trained
@@ -464,12 +513,22 @@ class TestStats:
         assert outs[0][1].startswith("bin_center,mass\n")
 
 
+TINY_TUNE = {"tune": {"trials": 2, "n_paths": 40, "epochs": 1},
+             "train": {"minibatch": 64}, "eval": {"n_paths": 40}}
+
+
+def _tune(tmp_path, name, tree):
+    """(ledger.csv, its study hash) of a tune run on ``tree``."""
+    out = tmp_path / name
+    cfg = _write_cfg(tmp_path, tree, name=f"{name}.yaml")
+    assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
+    return ((out / "ledger.csv").read_text(),
+            json.loads((out / "ledger.csv.json").read_text())["study_hash"])
+
+
 class TestTune:
     def test_smoke_artifacts(self, tmp_path):
-        cfg = _write_cfg(tmp_path, {
-            "tune": {"trials": 2, "n_paths": 40, "epochs": 1,
-                     "eval_n_paths": 40},
-            "train": {"minibatch": 64}})
+        cfg = _write_cfg(tmp_path, TINY_TUNE)
         out = tmp_path / "out"
         rc = main(["tune", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
@@ -481,9 +540,7 @@ class TestTune:
         assert best["status"] == "ok"
 
     def test_resume_under_another_seed_exits_2(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, {
-            "tune": {"n_paths": 40, "epochs": 1, "eval_n_paths": 40},
-            "train": {"minibatch": 64}})
+        cfg = _write_cfg(tmp_path, TINY_TUNE)
         out = tmp_path / "lt"
         assert main(["tune", "--config", str(cfg), "--out", str(out),
                      "--seed", "0", "--trials", "2"]) == 0
@@ -499,6 +556,32 @@ class TestTune:
         assert (out / "ledger.csv").read_bytes() == ledger
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 0
+
+    def test_simulator_section_reaches_trials_and_hash(self, tmp_path):
+        tree = {**TINY_TUNE, "generator": "heston"}
+        ledger, digest = _tune(tmp_path, "base", tree)
+        rough, rough_digest = _tune(tmp_path, "rough",
+                                    {**tree, "heston": {"vol_of_vol": 1.5}})
+        assert rough_digest != digest
+        rows = [[row.split(",") for row in text.splitlines()[1:]]
+                for text in (ledger, rough)]
+        # the same trials, scored on other paths
+        assert [r[4:] for r in rows[0]] == [r[4:] for r in rows[1]]
+        assert [r[2] for r in rows[0]] != [r[2] for r in rows[1]]
+
+    def test_eval_source_scores_the_trials(self, tmp_path):
+        closes = np.exp(np.random.default_rng(3)
+                        .normal(0, 0.01, 80).cumsum()) * 4000
+        src = tmp_path / "index.csv"
+        src.write_text("date,close\n" + "".join(
+            f"{np.datetime64('2024-01-01') + i},{c:.6f}\n"
+            for i, c in enumerate(closes)))
+        ledger, digest = _tune(tmp_path, "synthetic", TINY_TUNE)
+        windows, windows_digest = _tune(
+            tmp_path, "windows",
+            {**TINY_TUNE, "eval": {"source": str(src)}})
+        assert windows_digest != digest
+        assert windows != ledger
 
 
 class TestReproduceTable:

@@ -795,10 +795,14 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         policy = _randomized_policy(seed=13)
         p = tmp_path / "ckpt.npz"
-        save_policy(policy, p, config_hash="abc123")
+        option = {"kind": "european_call", "strike": 1.0, "maturity_days": 5}
+        save_policy(policy, p, option=option, cost_rate=0.001,
+                    generator="heston", config_hash="abc123")
         loaded, meta = load_policy(p)
         assert meta["in_width"] == 4
         assert meta["config_hash"] == "abc123"
+        assert meta["option"] == option
+        assert (meta["cost_rate"], meta["generator"]) == (0.001, "heston")
         x = np.random.default_rng(0).normal(size=(7, 4))
         np.testing.assert_array_equal(loaded.forward_np(x),
                                       policy.forward_np(x))
@@ -806,7 +810,7 @@ class TestCheckpoint:
     def test_version_check(self, tmp_path):
         policy = MlpPolicy(4)
         p = tmp_path / "ckpt.npz"
-        save_policy(policy, p)
+        save_policy(policy, p, option={}, cost_rate=0.0, generator="gbm")
         with np.load(p) as blob:
             arrays = {k: blob[k] for k in blob.files}
         meta = json.loads(bytes(arrays["meta"]).decode())

@@ -79,9 +79,6 @@ def test_heston_validation():
         HestonParams(vol_of_vol=0.0)
     with pytest.raises(ValueError):
         HestonParams(rho=-1.5)
-    p = HestonParams.from_initial_vol(0.3, kappa=0.2, rho=0.1)
-    assert p.theta == pytest.approx(0.09)
-    assert p.v0 == pytest.approx(0.09)
 
 
 def test_heston_cir_mean_and_martingale():

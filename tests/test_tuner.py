@@ -1,32 +1,64 @@
 """Search spaces, constrained sampling, the TPE-flavored sampler, studies."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hedgelab import fcn_agents, tuner
+import _reference
+import hedgelab
+from hedgelab import fcn_agents
+from hedgelab.cli import (build_params, evaluation_paths, load_config,
+                          tune_trial_paths)
 from hedgelab.instruments import OptionSpec
 from hedgelab.risk import RiskMeasure
 from hedgelab.tuner import (LR_GRID, SearchSpace, StudyBudget, Trial,
-                            default_assignment, default_eval_paths,
                             evaluate_assignment, read_ledger, run_study,
-                            sample_trial, trial_paths)
+                            sample_trial)
 
 SPEC = OptionSpec("european_call", maturity_days=8)
 ERM1 = RiskMeasure("erm", lam=1.0)
 
 
+def _config(generator="gbm", maturity_days=8):
+    cfg = load_config()
+    cfg["generator"] = generator
+    cfg["option"]["maturity_days"] = maturity_days
+    return cfg
+
+
+CFG = _config()
+TRIAL_PATHS = tune_trial_paths(CFG)
+GBM = {"generator": "gbm", "gbm": CFG["gbm"]}
+
 # a drift of 1e308 overflows every GBM path to inf, so the features, the
 # loss and every epoch are non-finite: such a trial fails
 OVERFLOWING_SPACE = SearchSpace({"lr": (1e-2,), "mu": (0.0, 1e308),
-                                 "sigma": (0.2,)})
+                                 "sigma": (0.2,)},
+                                sets=SearchSpace.gbm().sets)
 
 
 def _tiny_budget(**kw):
-    base = dict(n_paths=64, epochs=1, minibatch=64, n_eval_paths=64)
+    base = dict(n_paths=64, epochs=1, minibatch=64)
     base.update(kw)
     return StudyBudget(**base)
+
+
+def _eval_paths(n_paths=64, seed=0):
+    return _reference.trial_paths("gbm", _reference.default_assignment("gbm"),
+                                  SPEC.maturity_days, n_paths, seed)
+
+
+def _study(space=None, n_trials=1, budget=None, eval_paths=None,
+           trial_paths=TRIAL_PATHS, measure=ERM1, **kw):
+    """run_study on the GBM config at maturity 8, sized small."""
+    return run_study(space or SearchSpace.gbm(), GBM, SPEC, measure,
+                     n_trials, budget or _tiny_budget(),
+                     _eval_paths() if eval_paths is None else eval_paths,
+                     trial_paths, **kw)
 
 
 class TestSearchSpace:
@@ -133,71 +165,150 @@ class TestSampling:
             assert a["lo"] <= a["hi"]
 
 
+class TestSettings:
+    def test_columns_set_their_config_keys(self):
+        assert SearchSpace.gbm().settings(
+            {"lr": 1e-2, "mu": 0.05, "sigma": 0.3}) == {
+                "train.lr": 1e-2, "gbm.mu": 0.05, "gbm.sigma": 0.3}
+        market = _reference.default_assignment("market")
+        settings = SearchSpace.market().settings(market)
+        assert settings["market.agents_per_step"] == 5
+        assert settings["market.population.tau_star_max"] == 200
+        assert len(settings) == len(market)
+
+    def test_initial_vol_sets_v0_and_theta_to_its_square(self):
+        settings = SearchSpace.heston().settings(
+            {"lr": 1e-3, "kappa": 0.5, "sigma_init": 0.3, "rho": -0.5})
+        assert settings == {"train.lr": 1e-3, "heston.kappa": 0.5,
+                            "heston.v0": 0.3 ** 2, "heston.theta": 0.3 ** 2,
+                            "heston.rho": -0.5}
+
+    def test_every_column_sets_a_key_of_the_config(self):
+        for generator in ("gbm", "heston", "market"):
+            space = getattr(SearchSpace, generator)()
+            a = sample_trial(space, "random", [], 0)
+            for key in space.settings(a):
+                section, *rest = key.split(".")
+                assert section in ("train", generator), key
+                tree = CFG[section]
+                for part in rest:
+                    tree = tree[part]
+
+
 class TestTrialPaths:
+    """A trial's settings merged over the run's config and built as every
+    subcommand builds its paths; the by-hand oracle agrees bit for bit."""
+
     def test_gbm_paths_shape_and_seeding(self):
-        a = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                        _tiny_budget(), seed=3)
-        b = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                        _tiny_budget(), seed=3)
+        settings = SearchSpace.gbm().settings(
+            {"lr": 1e-3, "mu": 0.0, "sigma": 0.2})
+        a = TRIAL_PATHS(settings, 64, 3)
         assert a.shape == (64, 9)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, TRIAL_PATHS(settings, 64, 3))
 
     def test_heston_paths_shape(self):
-        a = trial_paths("heston", {"kappa": 0.5, "sigma_init": 0.2,
-                                   "rho": -0.5}, SPEC, _tiny_budget(), seed=1)
+        settings = SearchSpace.heston().settings(
+            {"lr": 1e-3, "kappa": 0.5, "sigma_init": 0.2, "rho": -0.5})
+        a = tune_trial_paths(_config("heston"))(settings, 64, 1)
         assert a.shape == (64, 9)
         assert np.all(a > 0)
 
     def test_unknown_generator(self):
-        with pytest.raises(ValueError):
-            trial_paths("sabr", {}, SPEC, _tiny_budget(), seed=0)
+        cfg = _config()
+        cfg["generator"] = "sabr"
+        with pytest.raises(ValueError, match="generator"):
+            tune_trial_paths(cfg)({}, 64, 0)
 
     def test_default_assignments_live_on_grids(self):
-        gbm = default_assignment("gbm")
-        assert gbm == {"lr": 1e-3, "mu": 0.0, "sigma": 0.2}
+        # the no-tuning baseline is the config's own values
+        gbm = {"lr": CFG["train"]["lr"], **CFG["gbm"]}
+        assert gbm == _reference.default_assignment("gbm")
         space = SearchSpace.gbm()
         assert gbm["mu"] in space.grids["mu"]
         assert gbm["sigma"] in space.grids["sigma"]
-        heston = default_assignment("heston")
-        assert heston["kappa"] == 1.0  # prior-study value, off the grid
-        assert heston["rho"] == -0.7
-        market = default_assignment("market")
+        assert CFG["heston"]["kappa"] == 1.0  # prior-study value, off the grid
+        assert CFG["heston"]["rho"] == -0.7
+        market = {column: CFG["market"]["population"].get(column)
+                  for column in SearchSpace.market().keys()}
+        market.update(lr=CFG["train"]["lr"],
+                      n_agent_step=CFG["market"]["agents_per_step"],
+                      sigma_star=CFG["market"]["sigma_star"],
+                      sigma=CFG["market"]["sigma"])
+        assert market == _reference.default_assignment("market")
         assert SearchSpace.market().satisfies(market)
-        with pytest.raises(ValueError):
-            default_assignment("sabr")
+
+    @pytest.mark.parametrize("generator, n_draws, maturity_days, n_paths", [
+        ("gbm", 20, 8, 64), ("heston", 20, 8, 64), ("market", 4, 2, 2)])
+    def test_sampled_assignments(self, generator, n_draws, maturity_days,
+                                 n_paths):
+        space = getattr(SearchSpace, generator)()
+        route = tune_trial_paths(_config(generator, maturity_days))
+        for seed in range(n_draws):
+            a = sample_trial(space, "random", [], seed)
+            expected = _reference.trial_paths(generator, a, maturity_days,
+                                              n_paths, seed)
+            assert np.array_equal(route(space.settings(a), n_paths, seed),
+                                  expected), a
+
+    @pytest.mark.parametrize("generator, maturity_days, n_paths", [
+        ("gbm", 8, 200), ("market", 2, 3)])
+    def test_default_eval_set(self, generator, maturity_days, n_paths):
+        cfg = _config(generator, maturity_days)
+        cfg["eval"]["n_paths"] = n_paths
+        seed = 7
+        got, _ = evaluation_paths(cfg, build_params(cfg)[2], seed)
+        expected = _reference.trial_paths(
+            generator, _reference.default_assignment(generator),
+            maturity_days, n_paths, seed)
+        assert np.array_equal(got, expected)
+
+    def test_heston_default_eval_set_within_one_ulp_of_variance(self):
+        # the config's heston section has theta = v0 = 0.04, the grid's
+        # default sigma_init 0.2 squares to 0.04000000000000001
+        cfg = _config("heston")
+        cfg["eval"]["n_paths"] = 200
+        got, _ = evaluation_paths(cfg, build_params(cfg)[2], 7)
+        expected = _reference.trial_paths(
+            "heston", _reference.default_assignment("heston"), 8, 200, 7)
+        assert not np.array_equal(got, expected)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
+def test_tuner_imports_no_cli():
+    code = ("import sys, hedgelab.tuner; "
+            "print('hedgelab.cli' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(hedgelab.__file__).parents[1])},
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestEvaluate:
     def test_deterministic_objective(self):
-        budget = _tiny_budget()
-        eval_paths = default_eval_paths("gbm", SPEC, budget, (0, 0xE7A1))
-        args = ("gbm", default_assignment("gbm"), SPEC, ERM1, budget,
-                eval_paths, (0, 5))
+        args = (SearchSpace.gbm(), _reference.default_assignment("gbm"), SPEC,
+                ERM1, _tiny_budget(), _eval_paths(), TRIAL_PATHS, (0, 5))
         assert evaluate_assignment(*args) == evaluate_assignment(*args)
 
     def test_objective_is_finite_price(self):
-        budget = _tiny_budget()
-        eval_paths = default_eval_paths("gbm", SPEC, budget, (1, 0xE7A1))
-        price = evaluate_assignment("gbm", default_assignment("gbm"), SPEC,
-                                    ERM1, budget, eval_paths, (1, 0))
+        price = evaluate_assignment(
+            SearchSpace.gbm(), _reference.default_assignment("gbm"), SPEC,
+            ERM1, _tiny_budget(), _eval_paths(seed=1), TRIAL_PATHS, (1, 0))
         assert math.isfinite(price)
         assert 0.0 < price < 0.5
 
 
 class TestStudy:
     def test_single_trial(self, tmp_path):
-        budget = _tiny_budget()
-        res = run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
-                        budget=budget, seed=0)
+        res = _study(n_trials=1, seed=0)
         assert len(res.trials) == 1
         assert res.best is res.trials[0]
 
     def test_study_smoke_and_ranking(self, tmp_path):
-        budget = _tiny_budget()
-        res = run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=4,
-                        budget=budget, seed=1, strategy="random",
-                        ledger_path=tmp_path / "ledger.csv",
-                        best_path=tmp_path / "best.json")
+        res = _study(n_trials=4, seed=1, strategy="random",
+                     ledger_path=tmp_path / "ledger.csv",
+                     best_path=tmp_path / "best.json")
         assert len(res.trials) == 4
         objs = [t.objective for t in res.ranked]
         assert objs == sorted(objs)
@@ -205,11 +316,10 @@ class TestStudy:
         assert (tmp_path / "best.json").read_text().startswith("{")
 
     def test_ledger_round_trip_and_resume(self, tmp_path):
-        budget = _tiny_budget()
         space = SearchSpace.gbm()
         ledger = tmp_path / "ledger.csv"
-        first = run_study(space, "gbm", SPEC, ERM1, n_trials=3, budget=budget,
-                          seed=2, strategy="random", ledger_path=ledger)
+        first = _study(space, n_trials=3, seed=2, strategy="random",
+                       ledger_path=ledger)
         recorded = read_ledger(ledger, space)
         assert [t.trial_id for t in recorded] == [0, 1, 2]
         assert [t.assignment for t in recorded] == \
@@ -217,9 +327,8 @@ class TestStudy:
         assert [t.objective for t in recorded] == \
             [t.objective for t in first.trials]
 
-        resumed = run_study(space, "gbm", SPEC, ERM1, n_trials=5,
-                            budget=budget, seed=2, strategy="random",
-                            ledger_path=ledger)
+        resumed = _study(space, n_trials=5, seed=2, strategy="random",
+                         ledger_path=ledger)
         assert len(resumed.trials) == 5
         # the first three trials come back verbatim from the ledger
         assert [t.assignment for t in resumed.trials[:3]] == \
@@ -231,40 +340,37 @@ class TestStudy:
         # failed trials record objective inf; the ledger must read back
         # and resume through them
         space = OVERFLOWING_SPACE
-        budget = _tiny_budget(n_paths=32, n_eval_paths=32)
-        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                                 budget, seed=99)
+        budget = _tiny_budget(n_paths=32)
+        eval_paths = _eval_paths(32, seed=99)
         ledger = tmp_path / "ledger.csv"
-        first = run_study(space, "gbm", SPEC, ERM1, n_trials=6,
-                          budget=budget, eval_paths=eval_paths, seed=3,
-                          strategy="random", ledger_path=ledger)
+        first = _study(space, n_trials=6, budget=budget,
+                       eval_paths=eval_paths, seed=3, strategy="random",
+                       ledger_path=ledger)
         assert any(t.objective == math.inf for t in first.trials)
         recorded = read_ledger(ledger, space)
         assert [t.objective for t in recorded] == \
             [t.objective for t in first.trials]
         assert [t.status for t in recorded] == \
             [t.status for t in first.trials]
-        resumed = run_study(space, "gbm", SPEC, ERM1, n_trials=8,
-                            budget=budget, eval_paths=eval_paths, seed=3,
-                            strategy="random", ledger_path=ledger)
+        resumed = _study(space, n_trials=8, budget=budget,
+                         eval_paths=eval_paths, seed=3, strategy="random",
+                         ledger_path=ledger)
         assert len(resumed.trials) == 8
 
     def test_ledger_of_another_study_refused(self, tmp_path):
-        budget = _tiny_budget()
         space = SearchSpace.gbm()
         ledger = tmp_path / "ledger.csv"
-        run_study(space, "gbm", SPEC, ERM1, n_trials=1, budget=budget,
-                  seed=2, strategy="random", ledger_path=ledger)
+        _study(space, n_trials=1, seed=2, strategy="random",
+               ledger_path=ledger)
         with pytest.raises(ValueError, match="belongs to study"):
-            run_study(space, "gbm", SPEC, RiskMeasure("cvar", alpha=0.9),
-                      n_trials=2, budget=budget, seed=2, strategy="random",
-                      ledger_path=ledger)
+            _study(space, n_trials=2, measure=RiskMeasure("cvar", alpha=0.9),
+                   seed=2, strategy="random", ledger_path=ledger)
         # a ledger that records no study hash cannot be checked, so it
         # is not resumed either
         (tmp_path / "ledger.csv.json").unlink()
         with pytest.raises(ValueError, match="study None"):
-            run_study(space, "gbm", SPEC, ERM1, n_trials=2, budget=budget,
-                      seed=2, strategy="random", ledger_path=ledger)
+            _study(space, n_trials=2, seed=2, strategy="random",
+                   ledger_path=ledger)
         assert len(read_ledger(ledger, space)) == 1
 
     def test_ledger_header_mismatch(self, tmp_path):
@@ -277,12 +383,10 @@ class TestStudy:
     def test_failed_trials_rank_last(self, tmp_path):
         # trials whose paths overflow train no finite epoch; they must
         # not abort the study and must sort behind every finished trial
-        space = OVERFLOWING_SPACE
-        budget = _tiny_budget(n_paths=32, n_eval_paths=32)
-        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                                 budget, seed=99)
-        res = run_study(space, "gbm", SPEC, ERM1, n_trials=6, budget=budget,
-                        eval_paths=eval_paths, seed=3, strategy="random")
+        res = _study(OVERFLOWING_SPACE, n_trials=6,
+                     budget=_tiny_budget(n_paths=32),
+                     eval_paths=_eval_paths(32, seed=99), seed=3,
+                     strategy="random")
         statuses = [t.status for t in res.trials]
         assert "ok" in statuses and "failed" in statuses
         for t in res.trials:
@@ -294,11 +398,11 @@ class TestStudy:
             == {"failed"}
 
     def test_rerun_reproduces_sequence(self):
-        budget = _tiny_budget(n_paths=32, n_eval_paths=32)
-        a = run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=3,
-                      budget=budget, seed=4, strategy="random")
-        b = run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=3,
-                      budget=budget, seed=4, strategy="random")
+        budget = _tiny_budget(n_paths=32)
+        a = _study(n_trials=3, budget=budget, eval_paths=_eval_paths(32),
+                   seed=4, strategy="random")
+        b = _study(n_trials=3, budget=budget, eval_paths=_eval_paths(32),
+                   seed=4, strategy="random")
         assert [t.assignment for t in a.trials] == \
             [t.assignment for t in b.trials]
         assert [t.objective for t in a.trials] == \
@@ -306,8 +410,7 @@ class TestStudy:
 
     def test_n_trials_validation(self):
         with pytest.raises(ValueError):
-            run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=0,
-                      budget=_tiny_budget())
+            _study(n_trials=0)
 
 
 class TestTrialLabels:
@@ -317,37 +420,24 @@ class TestTrialLabels:
             return fcn_agents.SessionResult(raw, 0)
 
         monkeypatch.setattr(fcn_agents, "run_session", no_trades)
-        budget = _tiny_budget(n_paths=2)
-        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                                 budget, seed=0)
-        res = run_study(SearchSpace.market(), "market", SPEC, ERM1,
-                        n_trials=1, budget=budget, eval_paths=eval_paths,
-                        seed=0)
+        res = _study(SearchSpace.market(), n_trials=1,
+                     budget=_tiny_budget(n_paths=2),
+                     trial_paths=tune_trial_paths(_config("market")), seed=0)
         assert res.trials[0].status == "degenerate"
         assert res.trials[0].objective == math.inf
 
-    def test_other_errors_propagate(self, monkeypatch):
+    def test_other_errors_propagate(self):
         def unimplemented(*args, **kwargs):
             raise NotImplementedError("no such simulator")
 
-        budget = _tiny_budget()
-        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                                 budget, seed=0)
-        monkeypatch.setattr(tuner, "trial_paths", unimplemented)
         with pytest.raises(NotImplementedError):
-            run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
-                      budget=budget, eval_paths=eval_paths, seed=0)
+            _study(trial_paths=unimplemented, seed=0)
 
-    def test_value_errors_propagate(self, monkeypatch):
+    def test_value_errors_propagate(self):
         # a ValueError inside a trial is a bug or a bad input, not a
         # failed trial, so the study stops instead of recording inf
         def broken(*args, **kwargs):
             raise ValueError("bad trial input")
 
-        budget = _tiny_budget()
-        eval_paths = trial_paths("gbm", {"mu": 0.0, "sigma": 0.2}, SPEC,
-                                 budget, seed=0)
-        monkeypatch.setattr(tuner, "trial_paths", broken)
         with pytest.raises(ValueError, match="bad trial input"):
-            run_study(SearchSpace.gbm(), "gbm", SPEC, ERM1, n_trials=1,
-                      budget=budget, eval_paths=eval_paths, seed=0)
+            _study(trial_paths=broken, seed=0)
