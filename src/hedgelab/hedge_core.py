@@ -79,13 +79,25 @@ def features_matrix(paths: np.ndarray, spec: OptionSpec) -> np.ndarray:
     n = spec.maturity_days
     if n_plus != n + 1:
         raise ValueError("paths must have maturity_days + 1 samples")
-    steps = np.arange(n)
     spots = paths[:, :n]
+    taus = (n - np.arange(n)) / ANNUAL_DAYS     # (n,)
+    vols = _trailing_vols(paths)
+    deltas = bs_delta(spots, spec.strike, vols, taus)
 
+    cols = [spots / spec.strike, np.broadcast_to(taus, (b, n)), vols, deltas]
+    if spec.is_lookback:
+        cols.append(np.maximum.accumulate(paths, axis=1)[:, :n] / spec.strike)
+    return np.stack(cols, axis=2)
+
+
+def _trailing_vols(paths: np.ndarray) -> np.ndarray:
+    """The features' trailing realized vol at each step before maturity,
+    (B, n); its intermediates are freed before the deltas are taken."""
+    b, n = paths.shape[0], paths.shape[1] - 1
     r = np.diff(np.log(paths), axis=1)          # (B, n)
     csum = np.cumsum(r, axis=1)
     csq = np.cumsum(r * r, axis=1)
-    counts = steps.astype(np.float64)           # returns available at step i
+    counts = np.arange(n, dtype=np.float64)     # returns available at step i
     vols = np.full((b, n), VOL_PRIOR)
     have = counts > 0
     m1 = csum[:, :-1] / np.maximum(counts[1:], 1.0)
@@ -93,14 +105,4 @@ def features_matrix(paths: np.ndarray, spec: OptionSpec) -> np.ndarray:
     sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0)) * np.sqrt(ANNUAL_DAYS)
     w = np.minimum(counts[1:] / VOL_BLEND_MIN_RETURNS, 1.0)
     vols[:, have] = w * sd + (1.0 - w) * VOL_PRIOR
-    vols = np.maximum(vols, VOL_FLOOR)
-
-    taus = (n - steps) / ANNUAL_DAYS            # (n,)
-    deltas = np.empty((b, n))
-    for i in range(n):
-        deltas[:, i] = bs_delta(spots[:, i], spec.strike, vols[:, i], taus[i])
-
-    cols = [spots / spec.strike, np.broadcast_to(taus, (b, n)), vols, deltas]
-    if spec.is_lookback:
-        cols.append(np.maximum.accumulate(paths, axis=1)[:, :n] / spec.strike)
-    return np.stack(cols, axis=2)
+    return np.maximum(vols, VOL_FLOOR)

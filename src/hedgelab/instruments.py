@@ -8,11 +8,7 @@ rate is zero throughout, so
     d1 = (ln(S/K) + vol^2 * tau / 2) / (vol * sqrt(tau))
     delta = N(d1)
 
-N is ``scipy.special.ndtr``, imported inside ``bs_delta``: loading
-``scipy.special`` costs about a quarter of a second and 20 MiB of RSS on
-a 2-vCPU host, and a process that never prices an option or builds
-policy features (``gen-paths`` and ``stats`` on GBM or on the agent
-market) never pays for it.
+with N from ``hedgelab.normal``.
 """
 
 from __future__ import annotations
@@ -20,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .normal import ndtr
 
 EUROPEAN_CALL = "european_call"
 LOOKBACK_CALL = "lookback_call"
@@ -64,21 +62,23 @@ def payoff_batch(spec: OptionSpec, paths: np.ndarray) -> np.ndarray:
 def bs_delta(spot, strike, vol, tau_years):
     """Zero-rate Black-Scholes call delta N(d1), with intrinsic limits.
 
-    At tau_years = 0 the delta degenerates to the exercise indicator
-    (1 in the money, 0 out, 0.5 at the strike).
+    ``vol`` and ``tau_years`` broadcast against ``spot``, so one call
+    takes N of a whole (paths, steps) matrix.  Where tau_years = 0 the
+    delta degenerates to the exercise indicator (1 in the money, 0 out,
+    0.5 at the strike); a nonpositive spot has delta 0.
     """
-    from scipy.special import ndtr
     spot = np.asarray(spot, dtype=np.float64)
     scalar = spot.ndim == 0
     spot = np.atleast_1d(spot)
-    if tau_years <= 0.0:
-        out = np.where(spot > strike, 1.0, np.where(spot < strike, 0.0, 0.5))
-    else:
-        out = np.zeros_like(spot)
-        pos = spot > 0.0
-        if np.any(pos):
-            v = vol[pos] if np.ndim(vol) else vol
-            sq = v * np.sqrt(tau_years)
-            d1 = (np.log(spot[pos] / strike) + 0.5 * v * v * tau_years) / sq
-            out[pos] = ndtr(d1)
+    tau = np.broadcast_to(tau_years, spot.shape)
+    out = np.where(spot > strike, 1.0, np.where(spot < strike, 0.0, 0.5))
+    running = tau > 0.0
+    out[running] = 0.0
+    live = running & (spot > 0.0)
+    if live.any():
+        v, t = np.broadcast_to(vol, spot.shape)[live], tau[live]
+        d1 = np.log(spot[live] / strike)
+        d1 += 0.5 * v * v * t
+        d1 /= v * np.sqrt(t)
+        out[live] = ndtr(d1)
     return float(out[0]) if scalar else out

@@ -109,9 +109,14 @@ class MlpPolicy:
             h, centered, sd, q, mask, nxt = cache[5 * k:5 * k + 6]
             np.matmul(h, wt, out=centered)
             centered += bt
-            centered -= centered.mean(axis=1, keepdims=True)
+            # row means as np.mean takes them (a sum, then a true divide
+            # by the count), without its per-call Python
+            np.add.reduce(centered, axis=1, keepdims=True, out=sd)
+            sd /= HIDDEN_WIDTH
+            centered -= sd
             np.multiply(centered, centered, out=q)
-            np.mean(q, axis=1, keepdims=True, out=sd)
+            np.add.reduce(q, axis=1, keepdims=True, out=sd)
+            sd /= HIDDEN_WIDTH
             sd += LN_EPS
             np.sqrt(sd, out=sd)
             np.divide(centered, sd, out=q)

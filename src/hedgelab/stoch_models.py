@@ -18,10 +18,10 @@ decomposition with central weighting (gamma1 = gamma2 = 1/2).
 ``_qe_step`` makes that regime split once per step and returns both the
 next variance and the conditional moment E[exp(A * V')] that K0* needs,
 from one set of branch quantities (b^2, a; p, beta).  The quadratic
-branch draws Z through the normal inverse CDF, ``scipy.special.ndtri``,
-imported inside ``_qe_step``: loading ``scipy.special`` costs about a
-quarter of a second and 20 MiB of RSS on a 2-vCPU host, which GBM paths
-never need.
+branch's Z is N^-1(u) of the step's uniform; ``heston_paths`` draws the
+uniforms and normals of up to ``DRAW_AHEAD`` values' worth of steps at
+once, in the per-step order, and takes ``normal.ndtri`` of them in one
+call.
 """
 
 from __future__ import annotations
@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .normal import ndtri
+
 PSI_SWITCH = 1.5
+# heston_paths draws max(1, DRAW_AHEAD // n_paths) steps' uniforms and
+# normals at a time, which bounds that scratch for large path sets
+DRAW_AHEAD = 1 << 16
 _GAMMA1 = 0.5
 _GAMMA2 = 0.5
 
@@ -104,15 +109,16 @@ def gbm_paths(params: GbmParams, n_paths: int, seed: int,
 
 
 def _qe_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray, u: np.ndarray,
-             a_coef: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One QE update of the variance given uniforms ``u``, and
-    E[exp(a_coef * V')] for the branch each path takes; vectorized.
+             zv: np.ndarray, a_coef: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One QE update of the variance given uniforms ``u`` and their
+    normal quantiles ``zv`` = N^-1(u), and E[exp(a_coef * V')] for the
+    branch each path takes; vectorized.
 
     Returns (v_next, moment, valid); invalid entries (outside the
     branch's moment domain, which the tuning grids never reach) signal a
     fallback to the uncorrected drift.
     """
-    from scipy.special import ndtri
     v_next = np.zeros_like(v)
     moment = np.ones_like(m)
     valid = np.ones(m.shape, dtype=bool)
@@ -125,7 +131,7 @@ def _qe_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray, u: np.ndarray,
         inv_psi = 1.0 / psi[quad]
         b2 = 2.0 * inv_psi - 1.0 + np.sqrt(2.0 * inv_psi) * np.sqrt(2.0 * inv_psi - 1.0)
         a = m[quad] / (1.0 + b2)
-        v_next[quad] = a * (np.sqrt(b2) + ndtri(u[quad])) ** 2
+        v_next[quad] = a * (np.sqrt(b2) + zv[quad]) ** 2
         denom = 1.0 - 2.0 * a_coef * a
         ok = denom > 0.0
         mom = np.ones_like(a)
@@ -148,6 +154,16 @@ def _qe_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray, u: np.ndarray,
         moment[expo] = mom
         valid[expo] = ok
     return v_next, moment, valid
+
+
+def _draw(rng: np.random.Generator, steps: int, n_paths: int):
+    """(steps, n_paths) uniforms and normals, drawn step by step in the
+    order the scheme consumes them: a step's uniforms, then its normals."""
+    us, zs = np.empty((steps, n_paths)), np.empty((steps, n_paths))
+    for j in range(steps):
+        rng.random(out=us[j])
+        rng.standard_normal(out=zs[j])
+    return us, zs
 
 
 def heston_paths(params: HestonParams, n_paths: int, seed: int,
@@ -187,19 +203,22 @@ def heston_paths(params: HestonParams, n_paths: int, seed: int,
         variances = np.empty((n_paths, params.n_steps + 1))
         variances[:, 0] = params.v0
 
+    group = max(1, DRAW_AHEAD // n_paths)
     for step in range(params.n_steps):
+        j = step % group
+        if j == 0:
+            us, zs = _draw(rng, min(group, params.n_steps - step), n_paths)
+            quantiles = ndtri(us)
         m = theta + (v - theta) * ekd
         s2 = v * c1 + c2
-        u = rng.random(n_paths)
-        z = rng.standard_normal(n_paths)
-        v_next, moment, valid = _qe_step(v, m, s2, u, a_coef)
+        v_next, moment, valid = _qe_step(v, m, s2, us[j], quantiles[j], a_coef)
         k0_star = -np.log(moment) - (k1 + 0.5 * k3) * v
         # outside the moment's domain fall back to the uncorrected drift
         if not valid.all():
             k0_plain = -rho * kappa * theta * dt / sv
             k0_star = np.where(valid, k0_star, k0_plain)
 
-        log_s = log_s + k0_star + k1 * v + k2 * v_next + np.sqrt(k3 * v + k4 * v_next) * z
+        log_s = log_s + k0_star + k1 * v + k2 * v_next + np.sqrt(k3 * v + k4 * v_next) * zs[j]
         v = v_next
         prices[:, step + 1] = np.exp(log_s)
         if return_variance:

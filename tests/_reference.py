@@ -11,10 +11,14 @@ build_agents, compute_factors, decide_order) states the FCN model one
 agent at a time; its tests pin the factor and order formulas.
 
 payoff (one path) and bs_price (the Black-Scholes call price) are the
-option analytics that only the tests use.  qe_variance_step and
+option analytics that only the tests use; bs_delta is the call delta
+through scipy.special.ndtr, one step column at a time, the oracle of
+instruments.bs_delta and of the features' delta.  qe_variance_step and
 qe_exp_moment are the Heston QE update and its drift moment as two
-passes that each make the regime split, the oracle of
-stoch_models._qe_step.
+passes that each make the regime split, through scipy.special.ndtri,
+the oracle of stoch_models._qe_step; heston_paths_stepwise composes
+them step by step, each step drawing its own uniforms and normals, the
+oracle of stoch_models.heston_paths and its draws ahead.
 
 The per-path hedge accounting (compute_pl, HedgeOutcome), the per-prefix
 features and realized_vol (with its VolConfig settings), and the
@@ -53,12 +57,12 @@ from scipy.special import ndtr, ndtri
 from hedgelab import autodiff
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.hedge_core import ANNUAL_DAYS, pl_core, position_change_matrix
-from hedgelab.instruments import OptionSpec, bs_delta, payoff_batch
+from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order
 from hedgelab.neuralnet import LN_EPS
 from hedgelab.risk import ERM
-from hedgelab.stoch_models import (PSI_SWITCH, GbmParams, HestonParams,
-                                   gbm_paths, heston_paths)
+from hedgelab.stoch_models import (_GAMMA1, _GAMMA2, PSI_SWITCH, GbmParams,
+                                   HestonParams, gbm_paths, heston_paths)
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -429,6 +433,27 @@ def bs_price(spot, strike, vol, tau_years):
     return float(out[0]) if scalar else out
 
 
+def bs_delta(spot, strike, vol, tau_years):
+    """Zero-rate Black-Scholes call delta N(d1) at one time to maturity,
+    N being scipy.special.ndtr; scalar or array ``spot``.  tau_years = 0
+    gives the exercise indicator (0.5 at the strike), and a nonpositive
+    spot has delta 0.  d1 takes numpy's log, as the program does."""
+    spot = np.asarray(spot, dtype=np.float64)
+    scalar = spot.ndim == 0
+    spot = np.atleast_1d(spot)
+    if tau_years <= 0.0:
+        out = np.where(spot > strike, 1.0, np.where(spot < strike, 0.0, 0.5))
+    else:
+        out = np.zeros_like(spot)
+        pos = spot > 0.0
+        if np.any(pos):
+            v = vol[pos] if np.ndim(vol) else vol
+            sq = v * np.sqrt(tau_years)
+            d1 = (np.log(spot[pos] / strike) + 0.5 * v * v * tau_years) / sq
+            out[pos] = ndtr(d1)
+    return float(out[0]) if scalar else out
+
+
 # ------------------------------------------------------------- Heston QE --
 
 def qe_variance_step(v: np.ndarray, m: np.ndarray, s2: np.ndarray,
@@ -495,6 +520,48 @@ def qe_exp_moment(a_coef: float, m: np.ndarray,
         v &= ok
         valid[expo] = v
     return moment, valid
+
+
+def heston_paths_stepwise(params: HestonParams, n_paths: int, seed: int):
+    """(prices, variances) of Heston QE-M paths as stoch_models.heston_paths
+    states them, one step at a time: each step draws its n_paths
+    uniforms, then its n_paths normals, and updates through
+    qe_variance_step and qe_exp_moment."""
+    rng = np.random.default_rng(seed)
+    kappa, theta, sv, rho, dt = (params.kappa, params.theta, params.vol_of_vol,
+                                 params.rho, params.dt)
+    if kappa > 0.0:
+        ekd = np.exp(-kappa * dt)
+        c1 = sv * sv * ekd * (1.0 - ekd) / kappa
+        c2 = theta * sv * sv * (1.0 - ekd) ** 2 / (2.0 * kappa)
+    else:
+        ekd, c1, c2 = 1.0, sv * sv * dt, 0.0
+    k1 = _GAMMA1 * dt * (kappa * rho / sv - 0.5) - rho / sv
+    k2 = _GAMMA2 * dt * (kappa * rho / sv - 0.5) + rho / sv
+    k3 = _GAMMA1 * dt * (1.0 - rho * rho)
+    k4 = _GAMMA2 * dt * (1.0 - rho * rho)
+    a_coef = k2 + 0.5 * k4
+
+    log_s = np.zeros(n_paths)
+    v = np.full(n_paths, params.v0)
+    prices = np.empty((n_paths, params.n_steps + 1))
+    variances = np.empty((n_paths, params.n_steps + 1))
+    prices[:, 0], variances[:, 0] = 1.0, params.v0
+    for step in range(params.n_steps):
+        m = theta + (v - theta) * ekd
+        s2 = v * c1 + c2
+        u = rng.random(n_paths)
+        z = rng.standard_normal(n_paths)
+        v_next = qe_variance_step(v, m, s2, u)
+        moment, valid = qe_exp_moment(a_coef, m, s2)
+        k0_star = -np.log(moment) - (k1 + 0.5 * k3) * v
+        if not valid.all():
+            k0_star = np.where(valid, k0_star, -rho * kappa * theta * dt / sv)
+        log_s = log_s + k0_star + k1 * v + k2 * v_next + np.sqrt(k3 * v + k4 * v_next) * z
+        v = v_next
+        prices[:, step + 1] = np.exp(log_s)
+        variances[:, step + 1] = v
+    return prices, variances
 
 
 # ------------------------------------------------------- hedge accounting --

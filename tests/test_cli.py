@@ -233,9 +233,17 @@ def _special_loaded(tmp_path, runs):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+TINY_RUN = {"train": {"paths": 30, "epochs": 1, "minibatch": 64},
+            "eval": {"n_paths": 20}, "stats": {"n_paths": 20},
+            "tune": {"trials": 2, "n_paths": 30, "epochs": 1}}
+SUBCOMMANDS = ("gen-paths", "stats", "train", "price", "tune",
+               "reproduce-table")
+
+
 class TestColdStart:
-    """scipy.special (N and its inverse) loads on first use, not with the
-    CLI.  A fresh process is needed: this one has loaded it already."""
+    """No subcommand loads scipy.special: N and its inverse come from
+    hedgelab.normal.  A fresh process is needed: this one has loaded it
+    as the tests' oracle."""
 
     def test_gbm_and_market_paths_and_stats_never_load_it(self, tmp_path):
         gbm = {"train": {"paths": 20}, "stats": {"n_paths": 20}}
@@ -245,13 +253,12 @@ class TestColdStart:
                 ("gen-paths", market), ("stats", market)]
         assert _special_loaded(tmp_path, runs) == [False] * 5
 
-    @pytest.mark.parametrize("command, tree", [
-        ("gen-paths", {"generator": "heston", "train": {"paths": 20}}),
-        ("price", TINY_TRAIN),
-    ])
-    def test_heston_steps_and_features_load_it(self, tmp_path, command,
-                                               tree):
-        assert _special_loaded(tmp_path, [(command, tree)]) == [False, True]
+    @pytest.mark.parametrize("generator", ["gbm", "heston"])
+    def test_no_subcommand_loads_it(self, tmp_path, generator):
+        # Heston steps take N^-1, and features, training and pricing N
+        tree = {**TINY_RUN, "generator": generator}
+        runs = [(command, tree) for command in SUBCOMMANDS]
+        assert _special_loaded(tmp_path, runs) == [False] * 7
 
 
 # Runs gen-paths through main in a fresh process and prints OpenBLAS's

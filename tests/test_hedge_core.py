@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from _reference import (VolConfig, compute_pl, compute_pl_batch,
                         delta_hedge_baseline, delta_hedge_baseline_batch,
                         features, realized_vol, write_outcomes_csv)
-from hedgelab.hedge_core import (feature_width, features_matrix,
+from hedgelab.hedge_core import (ANNUAL_DAYS, feature_width, features_matrix,
                                  position_change_matrix)
 from hedgelab.instruments import (EUROPEAN_CALL, LOOKBACK_CALL, OptionSpec,
                                   bs_delta, payoff_batch)
+from hedgelab.stoch_models import HestonParams, heston_paths
 
 SPEC2 = OptionSpec(EUROPEAN_CALL, strike=1.0, maturity_days=2)
 
@@ -141,6 +143,32 @@ def test_features_matrix_matches_per_prefix(kind):
         for i in range(10):
             row = features(paths[b, :i + 1], spec)
             np.testing.assert_allclose(mat[b, i], row, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [EUROPEAN_CALL, LOOKBACK_CALL])
+def test_features_delta_is_the_columnwise_reference_delta(kind):
+    # one N over the whole (paths, steps) matrix, against scipy's N one
+    # step column at a time at the matrix's own vols, bit for bit
+    paths = heston_paths(HestonParams(vol_of_vol=1.5), 3000, seed=8)
+    paths[:3] = [[1.0] * 21, [0.2] * 21, [5.0] * 21]  # at, far out, far in
+    spec = OptionSpec(kind, strike=1.0, maturity_days=20)
+    mat = features_matrix(paths, spec)
+    for i in range(20):
+        ref = _reference.bs_delta(paths[:, i], 1.0, mat[:, i, 2],
+                                  (20 - i) / ANNUAL_DAYS)
+        assert mat[:, i, 3].tobytes() == ref.tobytes(), i
+
+
+def test_bs_delta_broadcasts_time_to_maturity():
+    rng = np.random.default_rng(2)
+    spots = np.concatenate([[0.0, -1.0, 1.0], 1.0 + 0.3 * rng.standard_normal(97)])
+    spots = np.stack([spots, spots[::-1]], axis=1)       # (100, 2)
+    vols = 0.05 + rng.random((100, 2))
+    taus = np.array([0.0, 0.04])
+    got = bs_delta(spots, 1.0, vols, taus)
+    for i in range(2):
+        ref = _reference.bs_delta(spots[:, i], 1.0, vols[:, i], taus[i])
+        assert got[:, i].tobytes() == ref.tobytes(), i
 
 
 def test_delta_baseline_matches_bs_pointwise():

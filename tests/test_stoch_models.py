@@ -8,10 +8,12 @@ Closed forms used:
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from _reference import qe_exp_moment, qe_variance_step
-from hedgelab.stoch_models import (PSI_SWITCH, GbmParams, HestonParams,
-                                   _qe_step, gbm_paths, heston_paths)
+from _reference import heston_paths_stepwise, qe_exp_moment, qe_variance_step
+from hedgelab.stoch_models import (DRAW_AHEAD, PSI_SWITCH, GbmParams,
+                                   HestonParams, _qe_step, gbm_paths,
+                                   heston_paths)
 
 
 def test_gbm_validation():
@@ -174,7 +176,7 @@ def test_qe_step_equals_the_two_pass_reference():
     assert (expo & (u <= p)).any() and (expo & (u > p)).any()
     seen = {"quad_invalid": False, "expo_invalid": False}
     for a_coef in (-3.0, 0.0, 0.6, 60.0, 1e4):
-        v_next, moment, valid = _qe_step(v, m, s2, u, a_coef)
+        v_next, moment, valid = _qe_step(v, m, s2, u, ndtri(u), a_coef)
         ref_v = qe_variance_step(v, m, s2, u)
         ref_moment, ref_valid = qe_exp_moment(a_coef, m, s2)
         assert v_next.tobytes() == ref_v.tobytes(), a_coef
@@ -184,3 +186,25 @@ def test_qe_step_equals_the_two_pass_reference():
         seen["quad_invalid"] |= bool((quad & ~valid).any())
         seen["expo_invalid"] |= bool((expo & ~valid).any())
     assert seen == {"quad_invalid": True, "expo_invalid": True}
+
+
+@pytest.mark.parametrize("params", [
+    HestonParams(),                   # the heston-table set
+    HestonParams(vol_of_vol=1.5),     # psi past the switch: exponential branch
+    HestonParams(kappa=0.0),
+    HestonParams(rho=0.0),
+], ids=["table", "vol_of_vol_1.5", "kappa_0", "rho_0"])
+def test_heston_paths_equal_the_step_by_step_reference(params):
+    # one draw group holding every step, groups that split the steps
+    # unevenly, and one step per group
+    sizes = (1, 3000, DRAW_AHEAD // 13, DRAW_AHEAD + 1)
+    assert [max(1, DRAW_AHEAD // n) for n in sizes[1:]] == [21, 13, 1]
+    for n in sizes:
+        prices, variances = heston_paths(params, n, seed=n, return_variance=True)
+        ref_prices, ref_variances = heston_paths_stepwise(params, n, n)
+        assert prices.tobytes() == ref_prices.tobytes(), n
+        assert variances.tobytes() == ref_variances.tobytes(), n
+        assert heston_paths(params, n, seed=n).tobytes() == ref_prices.tobytes(), n
+    if params.vol_of_vol == 1.5:
+        # the exponential branch's atom: a live path drawn to exactly 0
+        assert (variances[:, 1:] == 0.0).any()
