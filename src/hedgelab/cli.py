@@ -18,6 +18,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -38,7 +39,7 @@ from .neuralnet import (MlpPolicy, _openblas_function, _price_features,
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
-from .tuner import STRATEGIES, SearchSpace, StudyBudget, run_study
+from .tuner import STRATEGIES, SearchSpace, TrialFailed, run_study
 
 ENV_PREFIX = "HEDGELAB__"
 # where a run writes without --out; not a config key, so not in manifests
@@ -63,8 +64,7 @@ DEFAULT_CONFIG = {
     "train": {"paths": 1000, "epochs": 10, "lr": 1e-3, "minibatch": 256,
               "val_split": 0.2},
     "eval": {"source": None, "n_paths": 1000, "stride": 1},
-    "tune": {"trials": 20, "strategy": "tpe_like", "n_paths": 1000,
-             "epochs": 10},
+    "tune": {"trials": 20, "strategy": "tpe_like"},
     "stats": {"n_paths": 1000, "max_lag": 20, "bin_width": 0.5},
     "checkpoint": None,
 }
@@ -91,10 +91,8 @@ RANGES = {"seed": _NONNEGATIVE, "cost_rate": _NONNEGATIVE,
           "train.lr": _POSITIVE, "train.minibatch": _COUNT,
           "train.val_split": (lambda v: 0 <= v < 1, "in [0, 1)"),
           "eval.n_paths": _COUNT, "eval.stride": _COUNT,
-          "tune.trials": _COUNT, "tune.n_paths": _COUNT,
-          "tune.epochs": _NONNEGATIVE,
-          "stats.n_paths": _COUNT, "stats.max_lag": _COUNT,
-          "stats.bin_width": _POSITIVE}
+          "tune.trials": _COUNT, "stats.n_paths": _COUNT,
+          "stats.max_lag": _COUNT, "stats.bin_width": _POSITIVE}
 GENERATORS = ("gbm", "heston", "market")
 # config key -> the values it accepts, checked by build_params
 CHOICES = {"generator": GENERATORS, "tune.strategy": STRATEGIES}
@@ -273,13 +271,21 @@ def evaluation_paths(cfg: dict, sim, seed: int, parallel: int = 1):
     return paths, "synthetic"
 
 
-def _train_policy(cfg, spec, measure, sim, seed, parallel):
+def _train_seeds(seed: int) -> list:
+    """The (paths, init, train) seeds of a run seeded ``seed``."""
+    return [_derive(seed, tag) for tag in (1, 2, 3)]
+
+
+def _train_policy(cfg, spec, measure, sim, seeds, parallel):
+    """(policy, report) trained on ``train.*`` paths of ``sim``, drawn,
+    initialized and shuffled by the three ``seeds``."""
+    s_path, s_init, s_train = seeds
     tr = cfg["train"]
-    paths, _ = generate_paths(sim, tr["paths"], _derive(seed, 1), parallel)
-    policy = MlpPolicy(feature_width(spec), seed=_derive(seed, 2))
+    paths, _ = generate_paths(sim, tr["paths"], s_path, parallel)
+    policy = MlpPolicy(feature_width(spec), seed=s_init)
     return train(policy, paths, spec, measure, lr=tr["lr"],
                  epochs=tr["epochs"], minibatch=tr["minibatch"],
-                 seed=_derive(seed, 3), cost_rate=cfg["cost_rate"],
+                 seed=s_train, cost_rate=cfg["cost_rate"],
                  val_split=tr["val_split"])
 
 
@@ -297,16 +303,36 @@ def _checkpoint_policy(cfg: dict) -> MlpPolicy:
     return policy
 
 
-def tune_trial_paths(cfg: dict, parallel: int = 1):
-    """A tune trial's paths: its settings merged over ``cfg``, then built
-    and drawn as every subcommand builds and draws its paths."""
-    def trial_paths(settings: dict, n_paths: int, seed: int):
-        trial_cfg = copy.deepcopy(cfg)
-        for key, value in settings.items():
-            _deep_merge(trial_cfg, _nest(key, value))
+def trial_config(cfg: dict, settings: dict) -> dict:
+    """A copy of ``cfg`` with a trial's {dotted key: value} settings."""
+    trial_cfg = copy.deepcopy(cfg)
+    for key, value in settings.items():
+        _deep_merge(trial_cfg, _nest(key, value))
+    return trial_cfg
+
+
+def tune_objective(cfg, spec, measure, eval_paths, parallel):
+    """A study's ``objective(settings, seed_parts)``: the indifference
+    price on ``eval_paths`` of a policy trained as ``train`` trains one,
+    on ``cfg`` with the trial's settings, seeded by ``seed_parts``."""
+    feats = features_matrix(eval_paths, spec)
+    payoffs = payoff_batch(spec, eval_paths)
+
+    def objective(settings: dict, seed_parts) -> float:
+        trial_cfg = trial_config(cfg, settings)
         _, _, sim = build_params(trial_cfg)
-        return generate_paths(sim, n_paths, seed, parallel)[0]
-    return trial_paths
+        seeds = [int(s) for s in
+                 np.random.SeedSequence(seed_parts).generate_state(3)]
+        policy, report = _train_policy(trial_cfg, spec, measure, sim, seeds,
+                                       parallel)
+        if report.best_epoch < 0:
+            raise TrialFailed("no finite training epoch")
+        price = _price_features(policy, feats, eval_paths, payoffs, measure,
+                                cfg["cost_rate"])
+        if not math.isfinite(price):
+            raise TrialFailed("non-finite evaluation price")
+        return price
+    return objective
 
 
 # ---------------------------------------------------------- subcommands --
@@ -323,8 +349,8 @@ def cmd_gen_paths(args, cfg, spec, measure, sim, out_dir) -> int:
 
 
 def cmd_train(args, cfg, spec, measure, sim, out_dir) -> int:
-    policy, report = _train_policy(cfg, spec, measure, sim, cfg["seed"],
-                                   args.parallel)
+    policy, report = _train_policy(cfg, spec, measure, sim,
+                                   _train_seeds(cfg["seed"]), args.parallel)
     save_policy(policy, os.path.join(out_dir, "checkpoint.npz"),
                 config_hash=config_hash(cfg), option=cfg["option"],
                 cost_rate=cfg["cost_rate"], generator=cfg["generator"])
@@ -341,7 +367,8 @@ def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
     if cfg["checkpoint"]:
         policy = _checkpoint_policy(cfg)
     else:
-        policy, _ = _train_policy(cfg, spec, measure, sim, seed, args.parallel)
+        policy, _ = _train_policy(cfg, spec, measure, sim, _train_seeds(seed),
+                                  args.parallel)
     paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
     price = policy_price(policy, paths, spec, measure, cfg["cost_rate"])
     out_path = os.path.join(out_dir, "price.csv")
@@ -354,17 +381,18 @@ def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
 
 
 def cmd_tune(args, cfg, spec, measure, sim, out_dir) -> int:
-    tu, generator = cfg["tune"], cfg["generator"]
-    budget = StudyBudget(n_paths=tu["n_paths"], epochs=tu["epochs"],
-                         minibatch=cfg["train"]["minibatch"],
-                         cost_rate=cfg["cost_rate"])
+    tu = cfg["tune"]
     eval_paths, _ = evaluation_paths(cfg, sim, _derive(cfg["seed"], 0xE7A1),
                                      args.parallel)
-    result = run_study(getattr(SearchSpace, generator)(),
-                       {"generator": generator, generator: cfg[generator]},
-                       spec, measure, tu["trials"], budget, eval_paths,
-                       tune_trial_paths(cfg, args.parallel),
-                       seed=cfg["seed"], strategy=tu["strategy"],
+    # every key a trial reads; the trial count only extends the study
+    identity = {"config": {**cfg, "tune": {k: v for k, v in tu.items()
+                                            if k != "trials"}},
+                "eval_paths": hashlib.sha256(np.ascontiguousarray(
+                    eval_paths, dtype=float).tobytes()).hexdigest()}
+    result = run_study(getattr(SearchSpace, cfg["generator"])(), tu["trials"],
+                       tune_objective(cfg, spec, measure, eval_paths,
+                                      args.parallel),
+                       identity, seed=cfg["seed"], strategy=tu["strategy"],
                        ledger_path=os.path.join(out_dir, "ledger.csv"),
                        best_path=os.path.join(out_dir, "best.json"))
     print(f"best trial {result.best.trial_id} "
@@ -402,24 +430,29 @@ def cmd_reproduce_table(args, cfg, base_spec, _measure, sim, out_dir) -> int:
         paths, _ = generate_paths(sim, cfg["eval"]["n_paths"],
                                   _derive(seed, 6 + i), args.parallel)
         eval_sets.append((label, paths))
-    rows = []
-    for d_idx, kind in enumerate(derivatives):
-        spec = replace(base_spec, kind=kind)
-        policies = [_train_policy(cfg, spec, measure, sim,
-                                  _derive(seed, 8, d_idx, m_idx),
-                                  args.parallel)[0]
-                    for m_idx, measure in enumerate(measures)]
-        prices = {}
-        for label, paths in eval_sets:  # built after, not during, training
-            feats = features_matrix(paths, spec)
+    specs = [replace(base_spec, kind=kind) for kind in derivatives]
+    policies = {(spec.kind, measure): _train_policy(
+                    cfg, spec, measure, sim,
+                    _train_seeds(_derive(seed, 8, d_idx, m_idx)),
+                    args.parallel)[0]
+                for d_idx, spec in enumerate(specs)
+                for m_idx, measure in enumerate(measures)}
+    prices = {}
+    for label, paths in eval_sets:  # built after, not during, training
+        # a European's features are the first columns of a lookback's
+        feats = features_matrix(paths, specs[-1])
+        for spec in specs:
+            spec_feats = np.ascontiguousarray(feats[..., :feature_width(spec)])
             payoffs = payoff_batch(spec, paths)
-            for policy, measure in zip(policies, measures):
-                prices[measure, label] = _price_features(
-                    policy, feats, paths, payoffs, measure, cfg["cost_rate"])
-        del feats
-        rows += [(kind, label, measure.label(), cfg["generator"],
-                  prices[measure, label])
-                 for measure in measures for label, _ in eval_sets]
+            for measure in measures:
+                prices[spec.kind, measure, label] = _price_features(
+                    policies[spec.kind, measure], spec_feats, paths, payoffs,
+                    measure, cfg["cost_rate"])
+        del feats, spec_feats
+    rows = [(kind, label, measure.label(), cfg["generator"],
+             prices[kind, measure, label])
+            for kind in derivatives for measure in measures
+            for label, _ in eval_sets]
     out_path = os.path.join(out_dir, "results.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write("derivative,dataset,measure,generator,price\n")

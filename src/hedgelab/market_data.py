@@ -75,17 +75,13 @@ def extract_windows(closes, window_days: int = 21, stride: int = 1) -> np.ndarra
     closes = np.asarray(closes, dtype=float)
     if window_days < 2 or stride < 1:
         raise ValueError("window_days must be >= 2 and stride >= 1")
-    n = len(closes) - window_days + 1
-    if n <= 0:
+    if len(closes) < window_days:
         warnings.warn(f"series of length {len(closes)} shorter than one "
                       f"{window_days}-day window")
         return np.empty((0, window_days))
-    starts = range(0, n, stride)
-    out = np.empty((len(starts), window_days))
-    for r, s in enumerate(starts):
-        w = closes[s:s + window_days]
-        out[r] = w / w[0]
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(
+        closes, window_days)[::stride]
+    return windows / windows[:, :1]
 
 
 def raw_kurtosis(x: np.ndarray) -> Optional[float]:

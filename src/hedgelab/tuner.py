@@ -14,15 +14,16 @@ to split) fall back to uniform sampling.
 
 Each column of a space states the dotted config keys it sets (``mu``
 sets ``gbm.mu``; ``sigma_init`` sets ``heston.v0`` and ``heston.theta``
-to its square).  A study draws a trial's paths through the caller's
-function of those settings and builds no simulator itself.
+to its square).  A study scores a trial by the caller's objective of
+those settings and builds no simulator and no policy itself; ``hedgelab
+tune`` trains each trial's policy as ``train`` does and minimizes its
+indifference price on one evaluation set shared by every trial, so
+objectives are comparable.
 
-A study minimizes the indifference price of the trained policy on the
-caller's evaluation path set, shared by every trial, so objectives are
-comparable.  The ledger is an append-only CSV; rerunning a study with an
-existing ledger resumes after the recorded trials.  The ledger's JSON
-sidecar (same filename + .json) records the study hash, and a ledger is
-resumed only by the study whose hash it records.
+The ledger is an append-only CSV; rerunning a study with an existing
+ledger resumes after the recorded trials.  The ledger's JSON sidecar
+(same filename + .json) records the study hash, and a ledger is resumed
+only by the study whose hash it records.
 """
 
 from __future__ import annotations
@@ -33,16 +34,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .fcn_agents import DegenerateSessionError
-from .hedge_core import feature_width
-from .instruments import OptionSpec
-from .neuralnet import MlpPolicy, policy_price, train
-from .risk import RiskMeasure
 
 STRATEGIES = ("random", "tpe_like")
 TPE_WARMUP = 20
@@ -199,41 +196,8 @@ def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
         space, lambda k: rng.choice(len(space.grids[k]), p=weights[k]))
 
 
-@dataclass
-class StudyBudget:
-    """Desk-scale defaults; the full-scale study is the same code at
-    n_paths=10000, epochs=100, n_trials=500."""
-    n_paths: int = 1000
-    epochs: int = 10
-    minibatch: int = 256
-    cost_rate: float = 0.0
-
-
 class TrialFailed(ArithmeticError):
     """A trial trained no finite epoch or priced to a non-finite value."""
-
-
-def evaluate_assignment(space: SearchSpace, assignment: dict,
-                        spec: OptionSpec, measure: RiskMeasure,
-                        budget: StudyBudget, eval_paths: np.ndarray,
-                        trial_paths, seed_parts) -> float:
-    """Full trial pipeline: paths -> train -> price on the shared eval set;
-    ``trial_paths(space.settings(assignment), n_paths, seed)`` draws the
-    trial's training paths."""
-    ss = np.random.SeedSequence(seed_parts)
-    s_path, s_init, s_train = (int(x) for x in ss.generate_state(3))
-    paths = trial_paths(space.settings(assignment), budget.n_paths, s_path)
-    policy = MlpPolicy(feature_width(spec), seed=s_init)
-    policy, report = train(policy, paths, spec, measure,
-                           lr=assignment["lr"], epochs=budget.epochs,
-                           minibatch=budget.minibatch, seed=s_train,
-                           cost_rate=budget.cost_rate)
-    if report.best_epoch < 0:
-        raise TrialFailed("no finite training epoch")
-    price = policy_price(policy, eval_paths, spec, measure, budget.cost_rate)
-    if not math.isfinite(price):
-        raise TrialFailed("non-finite evaluation price")
-    return price
 
 
 class StudyResult(NamedTuple):
@@ -265,40 +229,30 @@ def read_ledger(path, space: SearchSpace) -> list:
     return trials
 
 
-def study_hash(space: SearchSpace, simulator: dict, spec: OptionSpec,
-               measure: RiskMeasure, budget: StudyBudget,
-               eval_paths: np.ndarray, seed: int, strategy: str) -> str:
-    """Identity of a study's trial sequence and objectives.
-
-    Covers everything a trial's result depends on: the seed, the
-    simulator the trial paths start from, the evaluation paths, the
-    option, the measure, the budget, the strategy and the space.
-    """
-    eval_digest = hashlib.sha256(
-        np.ascontiguousarray(eval_paths, dtype=float).tobytes()).hexdigest()
-    blob = json.dumps({"seed": seed, "simulator": simulator,
-                       "eval_paths": eval_digest, "option": asdict(spec),
-                       "measure": asdict(measure), "budget": asdict(budget),
+def study_hash(space: SearchSpace, identity, seed: int,
+               strategy: str) -> str:
+    """Identity of a study's trial sequence and objectives: the seed,
+    the strategy, the space and the caller's ``identity`` of everything
+    its objective reads (any JSON-serializable value)."""
+    blob = json.dumps({"seed": seed, "identity": identity,
                        "strategy": strategy, "grids": space.grids,
                        "constraints": space.constraints}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def run_study(space: SearchSpace, simulator: dict, spec: OptionSpec,
-              measure: RiskMeasure, n_trials: int, budget: StudyBudget,
-              eval_paths: np.ndarray, trial_paths, seed: int = 0,
-              strategy: str = "tpe_like", ledger_path=None,
+def run_study(space: SearchSpace, n_trials: int, objective, identity,
+              seed: int = 0, strategy: str = "tpe_like", ledger_path=None,
               best_path=None) -> StudyResult:
     """Sequential study; trial randomness keys off (seed, trial index) only,
     so reruns and resumed runs reproduce the same trial sequence.
-    ``simulator`` is what ``trial_paths`` draws from beside a trial's
-    settings (the generator and its config section), for the study hash.
+    ``objective(space.settings(assignment), (seed, index))`` scores a
+    trial, raising ``TrialFailed`` or ``DegenerateSessionError`` for one
+    that cannot be scored; ``identity`` enters the study hash.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     keys = space.keys()
-    digest = study_hash(space, simulator, spec, measure, budget, eval_paths,
-                        seed, strategy)
+    digest = study_hash(space, identity, seed, strategy)
 
     trials = []
     if ledger_path and os.path.exists(ledger_path):
@@ -328,9 +282,8 @@ def run_study(space: SearchSpace, simulator: dict, spec: OptionSpec,
         assignment = sample_trial(space, strategy, trials, sampler_seed)
         trial = Trial(idx, assignment, seed=sampler_seed)
         try:
-            trial.objective = evaluate_assignment(
-                space, assignment, spec, measure, budget, eval_paths,
-                trial_paths, (seed, idx))
+            trial.objective = objective(space.settings(assignment),
+                                        (seed, idx))
             trial.status = "ok"
         except DegenerateSessionError:
             trial.status = "degenerate"

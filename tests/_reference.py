@@ -41,7 +41,11 @@ MlpPolicy must reproduce its positions and cache bit for bit.
 trial_paths is a tune trial's paths built by hand from its assignment,
 column by column into the simulator's typed parameters, and
 default_assignment is each generator's no-tuning baseline: the oracle
-of the config route (cli.tune_trial_paths, cli.evaluation_paths).
+of the config route (cli.trial_config, cli.evaluation_paths).
+evaluate_assignment, with its StudyBudget, is a tune trial as the tuner
+once ran it, a train-and-price pipeline of its own: the oracle of
+cli.tune_objective.  extract_windows is the window loop of
+market_data.extract_windows.
 """
 
 import csv
@@ -56,13 +60,15 @@ from scipy.special import ndtr, ndtri
 
 from hedgelab import autodiff
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from hedgelab.hedge_core import ANNUAL_DAYS, pl_core, position_change_matrix
+from hedgelab.hedge_core import (ANNUAL_DAYS, feature_width, pl_core,
+                                 position_change_matrix)
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order
-from hedgelab.neuralnet import LN_EPS
-from hedgelab.risk import ERM
+from hedgelab.neuralnet import LN_EPS, MlpPolicy, policy_price, train
+from hedgelab.risk import ERM, RiskMeasure
 from hedgelab.stoch_models import (_GAMMA1, _GAMMA2, PSI_SWITCH, GbmParams,
                                    HestonParams, gbm_paths, heston_paths)
+from hedgelab.tuner import SearchSpace, TrialFailed
 
 DEFAULT_TTL = 200
 EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -734,6 +740,53 @@ def default_assignment(generator: str, lr: float = 1e-3) -> dict:
                        "tau_star_min": 100, "tau_star_max": 200,
                        "tau_min": 1, "tau_max": 20, "k_min": 0.0,
                        "k_max": 0.05}}[generator]
+
+
+@dataclass
+class StudyBudget:
+    """Desk-scale defaults; the full-scale study is the same code at
+    n_paths=10000, epochs=100, n_trials=500."""
+    n_paths: int = 1000
+    epochs: int = 10
+    minibatch: int = 256
+    cost_rate: float = 0.0
+
+
+def evaluate_assignment(space: SearchSpace, assignment: dict,
+                        spec: OptionSpec, measure: RiskMeasure,
+                        budget: StudyBudget, eval_paths: np.ndarray,
+                        trial_paths, seed_parts) -> float:
+    """Full trial pipeline: paths -> train -> price on the shared eval set;
+    ``trial_paths(space.settings(assignment), n_paths, seed)`` draws the
+    trial's training paths."""
+    ss = np.random.SeedSequence(seed_parts)
+    s_path, s_init, s_train = (int(x) for x in ss.generate_state(3))
+    paths = trial_paths(space.settings(assignment), budget.n_paths, s_path)
+    policy = MlpPolicy(feature_width(spec), seed=s_init)
+    policy, report = train(policy, paths, spec, measure,
+                           lr=assignment["lr"], epochs=budget.epochs,
+                           minibatch=budget.minibatch, seed=s_train,
+                           cost_rate=budget.cost_rate)
+    if report.best_epoch < 0:
+        raise TrialFailed("no finite training epoch")
+    price = policy_price(policy, eval_paths, spec, measure, budget.cost_rate)
+    if not math.isfinite(price):
+        raise TrialFailed("non-finite evaluation price")
+    return price
+
+
+# ------------------------------------------------------------ market data --
+
+def extract_windows(closes, window_days: int, stride: int) -> np.ndarray:
+    """Every ``stride``-th window of ``closes`` divided by its first
+    close, one window at a time."""
+    closes = np.asarray(closes, dtype=float)
+    starts = range(0, len(closes) - window_days + 1, stride)
+    out = np.empty((len(starts), window_days))
+    for r, s in enumerate(starts):
+        w = closes[s:s + window_days]
+        out[r] = w / w[0]
+    return out
 
 
 # ------------------------------------------------------------- path files --

@@ -17,7 +17,7 @@ import yaml
 
 from _reference import RefBook, delta_hedge_baseline_batch, make_order_stream
 from hedgelab.cli import (_derive, build_params, evaluation_paths,
-                          load_config, main, tune_trial_paths)
+                          load_config, main, tune_objective)
 from hedgelab.hedge_core import feature_width, features_matrix, pl_core
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from hedgelab.instruments import OptionSpec, payoff_batch
@@ -27,8 +27,7 @@ from hedgelab.neuralnet import MlpPolicy, minibatch_loss, train
 from hedgelab.risk import RiskMeasure, cvar, erm, indifference_price, utility
 from hedgelab.stoch_models import (GbmParams, HestonParams, gbm_paths,
                                    heston_paths)
-from hedgelab.tuner import (SearchSpace, StudyBudget, evaluate_assignment,
-                            run_study)
+from hedgelab.tuner import SearchSpace, run_study
 
 SPEC = OptionSpec("european_call", strike=1.0, maturity_days=20)
 BS_ANCHOR = 0.022566  # closed-form ATM 20-day price at sigma=0.2, zero rate
@@ -261,15 +260,12 @@ def test_criterion_09_tuning_sanity(acceptance_report):
     # builds it: the baseline is the config's own values, untuned
     cfg = load_config()
     spec, measure, sim = build_params(cfg)
-    budget = StudyBudget()
     eval_paths, _ = evaluation_paths(cfg, sim, _derive(0, 0xE7A1))
-    trial_paths = tune_trial_paths(cfg)
+    objective = tune_objective(cfg, spec, measure, eval_paths, 1)
     space = SearchSpace.gbm()
-    baseline = evaluate_assignment(
-        space, {"lr": cfg["train"]["lr"], **cfg["gbm"]}, spec, measure,
-        budget, eval_paths, trial_paths, (0, 20))
-    result = run_study(space, {"generator": "gbm", "gbm": cfg["gbm"]}, spec,
-                       measure, 20, budget, eval_paths, trial_paths, seed=0)
+    baseline = objective(
+        space.settings({"lr": cfg["train"]["lr"], **cfg["gbm"]}), (0, 20))
+    result = run_study(space, 20, objective, cfg, seed=0)
     best = result.best.objective
     ok = best <= baseline * 1.05
     _verdict(acceptance_report, 9, ok,
@@ -283,7 +279,7 @@ def test_criterion_10_determinism(acceptance_report, tmp_path):
     cfg_file.write_text(yaml.safe_dump({
         "train": {"paths": 40, "epochs": 2, "minibatch": 64},
         "eval": {"n_paths": 30},
-        "tune": {"trials": 2, "n_paths": 30, "epochs": 1},
+        "tune": {"trials": 2},
         "stats": {"n_paths": 30}}))
     commands = [("gen-paths", ["--paths", "25"]), ("train", []),
                 ("price", []), ("tune", []), ("stats", []),

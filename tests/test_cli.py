@@ -13,8 +13,12 @@ import yaml
 import hedgelab
 from _reference import load_paths
 from hedgelab.cli import (CHOICES, DEFAULT_CONFIG, FLAGS, NULLABLE, RANGES,
-                          config_hash, load_config, main)
+                          _build, config_hash, load_config, main)
+from hedgelab.fcn_agents import AgentPopulation, MarketConfig
+from hedgelab.instruments import OptionSpec
 from hedgelab.neuralnet import load_policy
+from hedgelab.risk import RiskMeasure
+from hedgelab.stoch_models import GbmParams, HestonParams
 
 
 def _write_cfg(tmp_path, tree, name="config.yaml"):
@@ -89,6 +93,23 @@ class TestLoadConfig:
         cfg = load_config(p, environ={"HEDGELAB__SEED": "9"})
         assert cfg["seed"] == 9
 
+    def test_typed_sections_default_to_their_dataclasses(self):
+        # DEFAULT_CONFIG and the dataclasses each state the defaults
+        cfg = load_config()
+        days = cfg["option"]["maturity_days"]
+        assert days == 20
+        assert _build(GbmParams, cfg["gbm"], "gbm",
+                      n_steps=days) == GbmParams(n_steps=20)
+        assert _build(HestonParams, cfg["heston"], "heston",
+                      n_steps=days) == HestonParams(n_steps=20)
+        assert _build(MarketConfig, cfg["market"], "market",
+                      days=days) == MarketConfig(days=20)
+        assert _build(AgentPopulation, cfg["market"]["population"],
+                      "market.population") == AgentPopulation()
+        assert _build(OptionSpec, cfg["option"], "option") == OptionSpec()
+        assert _build(RiskMeasure, cfg["measure"],
+                      "measure") == RiskMeasure("erm")
+
 
 class TestConfigHash:
     def test_stable_and_order_insensitive(self):
@@ -142,9 +163,10 @@ class TestMainErrors:
         ("price", {}, {"eval": {"n_paths": 0}}, "eval.n_paths"),
         ("price", {}, {"eval": {"stride": 0}}, "eval.stride"),
         ("tune", {}, {"tune": {"trials": 0}}, "tune.trials"),
-        ("tune", {}, {"tune": {"n_paths": 0}}, "tune.n_paths"),
-        ("tune", {}, {"tune": {"epochs": -1}}, "tune.epochs"),
-        # gone: the tune eval set is eval.*, the space is the generator's
+        # gone: trials train on train.*, the tune eval set is eval.*, the
+        # space is the generator's
+        ("tune", {}, {"tune": {"n_paths": 1000}}, "tune.n_paths"),
+        ("tune", {}, {"tune": {"epochs": 10}}, "tune.epochs"),
         ("tune", {}, {"tune": {"eval_n_paths": 30}}, "tune.eval_n_paths"),
         ("stats", {}, {"stats": {"n_paths": 0}}, "stats.n_paths"),
         ("stats", {}, {"stats": {"max_lag": 0}}, "stats.max_lag"),
@@ -235,7 +257,7 @@ def _special_loaded(tmp_path, runs):
 
 TINY_RUN = {"train": {"paths": 30, "epochs": 1, "minibatch": 64},
             "eval": {"n_paths": 20}, "stats": {"n_paths": 20},
-            "tune": {"trials": 2, "n_paths": 30, "epochs": 1}}
+            "tune": {"trials": 2}}
 SUBCOMMANDS = ("gen-paths", "stats", "train", "price", "tune",
                "reproduce-table")
 
@@ -520,8 +542,9 @@ class TestStats:
         assert outs[0][1].startswith("bin_center,mass\n")
 
 
-TINY_TUNE = {"tune": {"trials": 2, "n_paths": 40, "epochs": 1},
-             "train": {"minibatch": 64}, "eval": {"n_paths": 40}}
+TINY_TUNE = {"tune": {"trials": 2},
+             "train": {"paths": 40, "epochs": 1, "minibatch": 64},
+             "eval": {"n_paths": 40}}
 
 
 def _tune(tmp_path, name, tree):
@@ -576,6 +599,17 @@ class TestTune:
         assert [r[4:] for r in rows[0]] == [r[4:] for r in rows[1]]
         assert [r[2] for r in rows[0]] != [r[2] for r in rows[1]]
 
+    def test_val_split_reaches_trials_and_hash(self, tmp_path):
+        # a trial trains as `train` does, validating on train.val_split
+        ledger, digest = _tune(tmp_path, "base", TINY_TUNE)
+        half, half_digest = _tune(tmp_path, "half", {
+            **TINY_TUNE, "train": {**TINY_TUNE["train"], "val_split": 0.5}})
+        assert half_digest != digest
+        rows = [[row.split(",") for row in text.splitlines()[1:]]
+                for text in (ledger, half)]
+        assert [r[4:] for r in rows[0]] == [r[4:] for r in rows[1]]
+        assert [r[2] for r in rows[0]] != [r[2] for r in rows[1]]
+
     def test_eval_source_scores_the_trials(self, tmp_path):
         closes = np.exp(np.random.default_rng(3)
                         .normal(0, 0.01, 80).cumsum()) * 4000
@@ -614,11 +648,12 @@ class TestReproduceTable:
                             "cvar(alpha=0.9)", "cvar(alpha=0.95)",
                             "cvar(alpha=0.99)"}
 
-    def test_each_eval_set_is_featurized_once_per_derivative(
-            self, tmp_path, monkeypatch, capsys):
+    def test_each_eval_set_is_featurized_once(self, tmp_path, monkeypatch,
+                                              capsys):
         # rows (and stdout) run derivative, then measure, then eval set,
-        # while each derivative's five policies are priced one eval set
-        # at a time from that set's features
+        # while all ten policies are priced one eval set at a time from
+        # that set's lookback features, whose first columns are the
+        # European's
         from hedgelab import cli
         calls = []
         featurize = cli.features_matrix
@@ -631,8 +666,7 @@ class TestReproduceTable:
         out = tmp_path / "out"
         assert main(["reproduce-table", "--config", str(cfg),
                      "--out", str(out)]) == 0
-        assert calls == ([("european_call", 25)] * 2
-                         + [("lookback_call", 25)] * 2)
+        assert calls == [("lookback_call", 25)] * 2
         rows = [l.split(",") for l in
                 (out / "results.csv").read_text().strip().split("\n")[1:]]
         measures = ["erm(lambda=1)", "erm(lambda=10)", "cvar(alpha=0.9)",

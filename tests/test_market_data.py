@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import _reference
 from _reference import brute_kurtosis
 from hedgelab.market_data import (StylizedStats, extract_windows, lag_returns,
                                   load_series, raw_kurtosis, stylized_stats,
@@ -103,6 +106,15 @@ class TestExtractWindows:
         once = extract_windows(closes, window_days=21)
         again = extract_windows(once[0], window_days=21)
         np.testing.assert_allclose(once[0], again[0], rtol=1e-15)
+
+    @given(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=60),
+           st.integers(2, 30), st.integers(1, 7))
+    def test_equals_the_window_loop(self, closes, window_days, stride):
+        assume(len(closes) >= window_days)  # shorter ones warn, above
+        got = extract_windows(closes, window_days, stride)
+        expected = _reference.extract_windows(closes, window_days, stride)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,28 +11,43 @@ import pytest
 import _reference
 import hedgelab
 from hedgelab import fcn_agents
-from hedgelab.cli import (build_params, evaluation_paths, load_config,
-                          tune_trial_paths)
+from hedgelab.cli import (build_params, evaluation_paths, generate_paths,
+                          load_config, trial_config, tune_objective)
 from hedgelab.instruments import OptionSpec
 from hedgelab.risk import RiskMeasure
-from hedgelab.tuner import (LR_GRID, SearchSpace, StudyBudget, Trial,
-                            evaluate_assignment, read_ledger, run_study,
-                            sample_trial)
+from hedgelab.tuner import (LR_GRID, SearchSpace, Trial, read_ledger,
+                            run_study, sample_trial)
 
 SPEC = OptionSpec("european_call", maturity_days=8)
 ERM1 = RiskMeasure("erm", lam=1.0)
 
 
-def _config(generator="gbm", maturity_days=8):
+def _config(generator="gbm", maturity_days=8, **train):
+    """The default config on ``generator`` at ``maturity_days``, with
+    ``train`` keys set."""
     cfg = load_config()
     cfg["generator"] = generator
     cfg["option"]["maturity_days"] = maturity_days
+    cfg["train"].update(train)
     return cfg
 
 
+def _tiny(generator="gbm", **train):
+    """``_config`` with trials sized small: by default 64 paths, one
+    epoch, one minibatch."""
+    return _config(generator, **{"paths": 64, "epochs": 1, "minibatch": 64,
+                                 **train})
+
+
 CFG = _config()
-TRIAL_PATHS = tune_trial_paths(CFG)
-GBM = {"generator": "gbm", "gbm": CFG["gbm"]}
+TINY = _tiny()
+
+
+def _trial_paths(cfg, settings, n_paths, seed):
+    """Paths of ``cfg`` with a trial's settings, drawn as a trial draws
+    its training paths."""
+    _, _, sim = build_params(trial_config(cfg, settings))
+    return generate_paths(sim, n_paths, seed)[0]
 
 # a drift of 1e308 overflows every GBM path to inf, so the features, the
 # loss and every epoch are non-finite: such a trial fails
@@ -41,24 +56,22 @@ OVERFLOWING_SPACE = SearchSpace({"lr": (1e-2,), "mu": (0.0, 1e308),
                                 sets=SearchSpace.gbm().sets)
 
 
-def _tiny_budget(**kw):
-    base = dict(n_paths=64, epochs=1, minibatch=64)
-    base.update(kw)
-    return StudyBudget(**base)
-
-
 def _eval_paths(n_paths=64, seed=0):
     return _reference.trial_paths("gbm", _reference.default_assignment("gbm"),
                                   SPEC.maturity_days, n_paths, seed)
 
 
-def _study(space=None, n_trials=1, budget=None, eval_paths=None,
-           trial_paths=TRIAL_PATHS, measure=ERM1, **kw):
-    """run_study on the GBM config at maturity 8, sized small."""
-    return run_study(space or SearchSpace.gbm(), GBM, SPEC, measure,
-                     n_trials, budget or _tiny_budget(),
-                     _eval_paths() if eval_paths is None else eval_paths,
-                     trial_paths, **kw)
+def _study(space=None, n_trials=1, cfg=TINY, eval_paths=None,
+           objective=None, **kw):
+    """run_study with ``tune``'s objective on ``cfg``, identified by it;
+    by default the GBM space on the small config at maturity 8."""
+    if objective is None:
+        spec, measure, _ = build_params(cfg)
+        objective = tune_objective(
+            cfg, spec, measure,
+            _eval_paths() if eval_paths is None else eval_paths, 1)
+    return run_study(space or SearchSpace.gbm(), n_trials, objective, cfg,
+                     **kw)
 
 
 class TestSearchSpace:
@@ -202,14 +215,14 @@ class TestTrialPaths:
     def test_gbm_paths_shape_and_seeding(self):
         settings = SearchSpace.gbm().settings(
             {"lr": 1e-3, "mu": 0.0, "sigma": 0.2})
-        a = TRIAL_PATHS(settings, 64, 3)
+        a = _trial_paths(CFG, settings, 64, 3)
         assert a.shape == (64, 9)
-        assert np.array_equal(a, TRIAL_PATHS(settings, 64, 3))
+        assert np.array_equal(a, _trial_paths(CFG, settings, 64, 3))
 
     def test_heston_paths_shape(self):
         settings = SearchSpace.heston().settings(
             {"lr": 1e-3, "kappa": 0.5, "sigma_init": 0.2, "rho": -0.5})
-        a = tune_trial_paths(_config("heston"))(settings, 64, 1)
+        a = _trial_paths(_config("heston"), settings, 64, 1)
         assert a.shape == (64, 9)
         assert np.all(a > 0)
 
@@ -217,7 +230,13 @@ class TestTrialPaths:
         cfg = _config()
         cfg["generator"] = "sabr"
         with pytest.raises(ValueError, match="generator"):
-            tune_trial_paths(cfg)({}, 64, 0)
+            _trial_paths(cfg, {}, 64, 0)
+
+    def test_settings_leave_the_config_as_it_was(self):
+        cfg = _config()
+        trial = trial_config(cfg, {"train.lr": 0.1, "gbm.mu": 0.05})
+        assert (trial["train"]["lr"], trial["gbm"]["mu"]) == (0.1, 0.05)
+        assert cfg == CFG
 
     def test_default_assignments_live_on_grids(self):
         # the no-tuning baseline is the config's own values
@@ -242,13 +261,13 @@ class TestTrialPaths:
     def test_sampled_assignments(self, generator, n_draws, maturity_days,
                                  n_paths):
         space = getattr(SearchSpace, generator)()
-        route = tune_trial_paths(_config(generator, maturity_days))
+        cfg = _config(generator, maturity_days)
         for seed in range(n_draws):
             a = sample_trial(space, "random", [], seed)
             expected = _reference.trial_paths(generator, a, maturity_days,
                                               n_paths, seed)
-            assert np.array_equal(route(space.settings(a), n_paths, seed),
-                                  expected), a
+            got = _trial_paths(cfg, space.settings(a), n_paths, seed)
+            assert np.array_equal(got, expected), a
 
     @pytest.mark.parametrize("generator, maturity_days, n_paths", [
         ("gbm", 8, 200), ("market", 2, 3)])
@@ -274,29 +293,76 @@ class TestTrialPaths:
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
-def test_tuner_imports_no_cli():
+def _loaded_by_tuner_import(modules):
+    """Which of ``modules`` a fresh process holds after importing the
+    tuner."""
     code = ("import sys, hedgelab.tuner; "
-            "print('hedgelab.cli' in sys.modules)")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={"PYTHONPATH": str(Path(hedgelab.__file__).parents[1])},
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_tuner_imports_no_cli():
+    assert _loaded_by_tuner_import(["hedgelab.cli"]) == "[]"
+
+
+def test_tuner_imports_no_training_code():
+    # a study trains and prices through its caller's objective only
+    assert _loaded_by_tuner_import(
+        ["hedgelab.neuralnet", "hedgelab.hedge_core",
+         "hedgelab.instruments", "hedgelab.risk"]) == "[]"
+
+
+GBM_DEFAULT = SearchSpace.gbm().settings(_reference.default_assignment("gbm"))
 
 
 class TestEvaluate:
     def test_deterministic_objective(self):
-        args = (SearchSpace.gbm(), _reference.default_assignment("gbm"), SPEC,
-                ERM1, _tiny_budget(), _eval_paths(), TRIAL_PATHS, (0, 5))
-        assert evaluate_assignment(*args) == evaluate_assignment(*args)
+        objective = tune_objective(TINY, SPEC, ERM1, _eval_paths(), 1)
+        assert objective(GBM_DEFAULT, (0, 5)) == objective(GBM_DEFAULT, (0, 5))
 
     def test_objective_is_finite_price(self):
-        price = evaluate_assignment(
-            SearchSpace.gbm(), _reference.default_assignment("gbm"), SPEC,
-            ERM1, _tiny_budget(), _eval_paths(seed=1), TRIAL_PATHS, (1, 0))
+        objective = tune_objective(TINY, SPEC, ERM1, _eval_paths(seed=1), 1)
+        price = objective(GBM_DEFAULT, (1, 0))
         assert math.isfinite(price)
         assert 0.0 < price < 0.5
+
+    @pytest.mark.parametrize("generator, n_draws, maturity_days, n_paths, "
+                             "epochs, measure", [
+        ("gbm", 8, 8, 64, 2, ERM1),
+        ("heston", 8, 8, 64, 2, RiskMeasure("cvar", alpha=0.9)),
+        ("market", 2, 2, 3, 1, ERM1)])
+    def test_sampled_assignments_match_the_reference_pipeline(
+            self, generator, n_draws, maturity_days, n_paths, epochs,
+            measure):
+        # a trial is `train` on the trial's config, priced on the study's
+        # eval set: bit for bit the tuner's former pipeline, whose paths
+        # come from the by-hand route
+        space = getattr(SearchSpace, generator)()
+        cfg = _config(generator, maturity_days, paths=n_paths, epochs=epochs,
+                      minibatch=64)
+        spec = OptionSpec("european_call", maturity_days=maturity_days)
+        eval_paths = _reference.trial_paths(
+            generator, _reference.default_assignment(generator),
+            maturity_days, n_paths, 99)
+        budget = _reference.StudyBudget(n_paths=n_paths, epochs=epochs,
+                                        minibatch=64)
+        objective = tune_objective(cfg, spec, measure, eval_paths, 1)
+        for draw in range(n_draws):
+            a = sample_trial(space, "random", [], draw)
+
+            def by_hand(settings, n, seed, a=a):
+                return _reference.trial_paths(generator, a, maturity_days,
+                                              n, seed)
+
+            expected = _reference.evaluate_assignment(
+                space, a, spec, measure, budget, eval_paths, by_hand,
+                (3, draw))
+            assert objective(space.settings(a), (3, draw)) == expected, a
 
 
 class TestStudy:
@@ -340,10 +406,10 @@ class TestStudy:
         # failed trials record objective inf; the ledger must read back
         # and resume through them
         space = OVERFLOWING_SPACE
-        budget = _tiny_budget(n_paths=32)
+        cfg = _tiny(paths=32)
         eval_paths = _eval_paths(32, seed=99)
         ledger = tmp_path / "ledger.csv"
-        first = _study(space, n_trials=6, budget=budget,
+        first = _study(space, n_trials=6, cfg=cfg,
                        eval_paths=eval_paths, seed=3, strategy="random",
                        ledger_path=ledger)
         assert any(t.objective == math.inf for t in first.trials)
@@ -352,7 +418,7 @@ class TestStudy:
             [t.objective for t in first.trials]
         assert [t.status for t in recorded] == \
             [t.status for t in first.trials]
-        resumed = _study(space, n_trials=8, budget=budget,
+        resumed = _study(space, n_trials=8, cfg=cfg,
                          eval_paths=eval_paths, seed=3, strategy="random",
                          ledger_path=ledger)
         assert len(resumed.trials) == 8
@@ -362,9 +428,11 @@ class TestStudy:
         ledger = tmp_path / "ledger.csv"
         _study(space, n_trials=1, seed=2, strategy="random",
                ledger_path=ledger)
+        cvar = _tiny()
+        cvar["measure"].update(kind="cvar", alpha=0.9)
         with pytest.raises(ValueError, match="belongs to study"):
-            _study(space, n_trials=2, measure=RiskMeasure("cvar", alpha=0.9),
-                   seed=2, strategy="random", ledger_path=ledger)
+            _study(space, n_trials=2, cfg=cvar, seed=2, strategy="random",
+                   ledger_path=ledger)
         # a ledger that records no study hash cannot be checked, so it
         # is not resumed either
         (tmp_path / "ledger.csv.json").unlink()
@@ -384,7 +452,7 @@ class TestStudy:
         # trials whose paths overflow train no finite epoch; they must
         # not abort the study and must sort behind every finished trial
         res = _study(OVERFLOWING_SPACE, n_trials=6,
-                     budget=_tiny_budget(n_paths=32),
+                     cfg=_tiny(paths=32),
                      eval_paths=_eval_paths(32, seed=99), seed=3,
                      strategy="random")
         statuses = [t.status for t in res.trials]
@@ -398,10 +466,10 @@ class TestStudy:
             == {"failed"}
 
     def test_rerun_reproduces_sequence(self):
-        budget = _tiny_budget(n_paths=32)
-        a = _study(n_trials=3, budget=budget, eval_paths=_eval_paths(32),
+        cfg = _tiny(paths=32)
+        a = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32),
                    seed=4, strategy="random")
-        b = _study(n_trials=3, budget=budget, eval_paths=_eval_paths(32),
+        b = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32),
                    seed=4, strategy="random")
         assert [t.assignment for t in a.trials] == \
             [t.assignment for t in b.trials]
@@ -421,8 +489,8 @@ class TestTrialLabels:
 
         monkeypatch.setattr(fcn_agents, "run_session", no_trades)
         res = _study(SearchSpace.market(), n_trials=1,
-                     budget=_tiny_budget(n_paths=2),
-                     trial_paths=tune_trial_paths(_config("market")), seed=0)
+                     cfg=_tiny("market", paths=2),
+                     seed=0)
         assert res.trials[0].status == "degenerate"
         assert res.trials[0].objective == math.inf
 
@@ -431,7 +499,7 @@ class TestTrialLabels:
             raise NotImplementedError("no such simulator")
 
         with pytest.raises(NotImplementedError):
-            _study(trial_paths=unimplemented, seed=0)
+            _study(objective=unimplemented, seed=0)
 
     def test_value_errors_propagate(self):
         # a ValueError inside a trial is a bug or a bad input, not a
@@ -440,4 +508,4 @@ class TestTrialLabels:
             raise ValueError("bad trial input")
 
         with pytest.raises(ValueError, match="bad trial input"):
-            _study(trial_paths=broken, seed=0)
+            _study(objective=broken, seed=0)
