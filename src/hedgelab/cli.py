@@ -33,9 +33,9 @@ from .fcn_agents import AgentPopulation, MarketConfig, simulate_paths
 from .hedge_core import feature_width, features_matrix
 from .instruments import OptionSpec, payoff_batch
 from .market_data import extract_windows, load_series, stylized_stats, write_stats_csv
-from .neuralnet import (MlpPolicy, _openblas_function, _price_features,
-                        load_policy, policy_price, save_policy, train,
-                        write_report_csv)
+from .neuralnet import (MlpPolicy, _fan_out, _openblas_function,
+                        _price_features, load_policy, policy_price,
+                        save_policy, train, write_report_csv)
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
@@ -279,9 +279,15 @@ def _train_seeds(seed: int) -> list:
 def _train_policy(cfg, spec, measure, sim, seeds, parallel):
     """(policy, report) trained on ``train.*`` paths of ``sim``, drawn,
     initialized and shuffled by the three ``seeds``."""
-    s_path, s_init, s_train = seeds
+    paths, _ = generate_paths(sim, cfg["train"]["paths"], seeds[0], parallel)
+    return _fit_policy(cfg, spec, measure, paths, seeds[1:])
+
+
+def _fit_policy(cfg, spec, measure, paths, seeds):
+    """``_train_policy`` on drawn ``paths``, with the (init, train)
+    ``seeds``."""
+    s_init, s_train = seeds
     tr = cfg["train"]
-    paths, _ = generate_paths(sim, tr["paths"], s_path, parallel)
     policy = MlpPolicy(feature_width(spec), seed=s_init)
     return train(policy, paths, spec, measure, lr=tr["lr"],
                  epochs=tr["epochs"], minibatch=tr["minibatch"],
@@ -419,7 +425,12 @@ def cmd_stats(args, cfg, spec, measure, sim, out_dir) -> int:
 
 def cmd_reproduce_table(args, cfg, base_spec, _measure, sim, out_dir) -> int:
     """Desk-scale sweep over the derivative x measure x dataset table;
-    the configured option kind and measure are the sweep's to set."""
+    the configured option kind and measure are the sweep's to set.
+
+    This thread draws each cell's training paths in cell order (market
+    sessions on ``--parallel`` processes), and the cells train through
+    ``neuralnet._fan_out`` on every usable core as their paths arrive.
+    A cell's policy does not depend on the thread that trains it."""
     seed = cfg["seed"]
     measures = [RiskMeasure("erm", lam=1.0), RiskMeasure("erm", lam=10.0),
                 RiskMeasure("cvar", alpha=0.90), RiskMeasure("cvar", alpha=0.95),
@@ -431,12 +442,24 @@ def cmd_reproduce_table(args, cfg, base_spec, _measure, sim, out_dir) -> int:
                                   _derive(seed, 6 + i), args.parallel)
         eval_sets.append((label, paths))
     specs = [replace(base_spec, kind=kind) for kind in derivatives]
-    policies = {(spec.kind, measure): _train_policy(
-                    cfg, spec, measure, sim,
-                    _train_seeds(_derive(seed, 8, d_idx, m_idx)),
-                    args.parallel)[0]
-                for d_idx, spec in enumerate(specs)
-                for m_idx, measure in enumerate(measures)}
+
+    def cells():
+        for d_idx, spec in enumerate(specs):
+            for m_idx, measure in enumerate(measures):
+                s_path, *fit_seeds = _train_seeds(_derive(seed, 8, d_idx,
+                                                          m_idx))
+                paths, _ = generate_paths(sim, cfg["train"]["paths"], s_path,
+                                          args.parallel)
+                yield spec, measure, paths, fit_seeds
+
+    policies = {}
+
+    def fit(cell):
+        spec, measure, paths, fit_seeds = cell
+        policies[spec.kind, measure] = _fit_policy(cfg, spec, measure, paths,
+                                                   fit_seeds)[0]
+
+    _fan_out(fit, cells(), len(specs) * len(measures))
     prices = {}
     for label, paths in eval_sets:  # built after, not during, training
         # a European's features are the first columns of a lookback's

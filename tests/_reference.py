@@ -1102,9 +1102,8 @@ def reference_policy_graph(params, x: np.ndarray) -> Tensor:
 
 def reference_forward(policy, x: np.ndarray):
     """(positions, cache) of ``policy`` for the (batch, in_width) ``x``:
-    per hidden block its input, the centered pre-activation, the row
-    std, the normalized activations and the ReLU mask, then the head's
-    input, each a fresh array."""
+    per hidden block its input, the centered pre-activation and the row
+    std, then the head's input, each a fresh array."""
     cache = []
     h = x
     for k in range(3):
@@ -1115,13 +1114,11 @@ def reference_forward(policy, x: np.ndarray):
         centered = h - h.mean(axis=1, keepdims=True)
         sd = np.sqrt((centered * centered).mean(axis=1, keepdims=True)
                      + LN_EPS)
+        cache += [centered, sd]
         h = centered / sd
-        cache += [centered, sd, h]
         h = h * gain
         h += bias
-        mask = h > 0.0
-        h *= mask
-        cache.append(mask)
+        h *= h > 0.0
     cache.append(h)
     head_w, head_b = policy.params[12:]
     return (h @ head_w + head_b).reshape(-1), cache

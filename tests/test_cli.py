@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hedgelab.cli import (CHOICES, DEFAULT_CONFIG, FLAGS, NULLABLE, RANGES,
                           _build, config_hash, load_config, main)
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig
 from hedgelab.instruments import OptionSpec
+from hedgelab import neuralnet
 from hedgelab.neuralnet import load_policy
 from hedgelab.risk import RiskMeasure
 from hedgelab.stoch_models import GbmParams, HestonParams
@@ -647,6 +649,58 @@ class TestReproduceTable:
         assert measures == {"erm(lambda=1)", "erm(lambda=10)",
                             "cvar(alpha=0.9)", "cvar(alpha=0.95)",
                             "cvar(alpha=0.99)"}
+
+    def test_main_thread_draws_the_paths_and_cells_fan_out(
+            self, tmp_path, monkeypatch):
+        # every path set (2 eval sets, 10 cells' training sets) is drawn
+        # on the main thread, so a market pool is never forked from a
+        # helper, while the cells train on a helper too
+        from hedgelab import cli
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        drawn, trained = [], []
+        generate, fit = cli.generate_paths, cli.train
+
+        def recording_generate(*args):
+            drawn.append(threading.current_thread())
+            return generate(*args)
+
+        def recording_train(*args, **kwargs):
+            trained.append(threading.current_thread())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_paths", recording_generate)
+        monkeypatch.setattr(cli, "train", recording_train)
+        cfg = _write_cfg(tmp_path, {
+            "train": {"paths": 30, "epochs": 1, "minibatch": 64},
+            "eval": {"n_paths": 30}})
+        assert main(["reproduce-table", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        main_thread = threading.main_thread()
+        assert len(drawn) == 12
+        assert all(t is main_thread for t in drawn)
+        assert len(trained) == 10
+        assert any(t is not main_thread for t in trained)
+
+    @pytest.mark.parametrize("generator", ["gbm", "heston", "market"])
+    def test_results_do_not_depend_on_threads_or_parallel(
+            self, tmp_path, monkeypatch, generator):
+        tree = {"generator": generator,
+                "train": {"paths": 30, "epochs": 1, "minibatch": 64},
+                "eval": {"n_paths": 30}}
+        if generator == "market":
+            tree.update(TINY_MARKET)
+        cfg = _write_cfg(tmp_path, tree)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        tables = {}
+        for threads in (1, 2):  # cells one after another, then fanned out
+            monkeypatch.setattr(neuralnet, "FORWARD_THREADS", threads)
+            for parallel in ("1", "2"):
+                out = tmp_path / f"threads{threads}-parallel{parallel}"
+                assert main(["reproduce-table", "--config", str(cfg),
+                             "--out", str(out), "--parallel", parallel]) == 0
+                tables[threads, parallel] = (out / "results.csv").read_bytes()
+        assert len(tables) == 4 and len(set(tables.values())) == 1
 
     def test_each_eval_set_is_featurized_once(self, tmp_path, monkeypatch,
                                               capsys):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import Tensor, layer_norm, reference_minibatch_loss
+from _reference import (Tensor, layer_norm, reference_forward,
+                        reference_minibatch_loss)
 import hedgelab
 from hedgelab import neuralnet
 from hedgelab.hedge_core import features_matrix
@@ -279,9 +280,9 @@ class TestBlockedForward:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_memory_is_one_block_per_thread(self, monkeypatch):
-        # each thread holds one block's scratch (three float arrays, a
-        # mask and the std); two threads fit the bound whatever the
-        # host's CPUs and BLAS threads
+        # each thread holds one block's scratch (two float arrays, the
+        # std and a mask), beside the shared tiles; two threads fit the
+        # bound whatever the host's CPUs and BLAS threads
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         policy = _randomized_policy()
@@ -298,8 +299,9 @@ class TestBlockedForward:
 
     def test_training_forward_holds_its_cache_and_one_block_per_thread(
             self, monkeypatch):
-        # the cache is filled in place: beyond it and the positions, each
-        # of the 2 threads holds at most one (block, 32) float array
+        # the cache is filled in place: beyond it and the positions, the 2
+        # threads' masks and the shared tiles fit in two (block, 32) float
+        # arrays
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
         policy = _randomized_policy()
@@ -312,9 +314,8 @@ class TestBlockedForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # per hidden block: three float and one bool (n, 32) arrays and
-        # the (n, 1) std
-        cache_bytes = 3 * n * ((3 * 8 + 1) * HIDDEN_WIDTH + 8)
+        # per hidden block: two float (n, 32) arrays and the (n, 1) std
+        cache_bytes = 3 * n * (2 * 8 * HIDDEN_WIDTH + 8)
         block_array = (n // 2) * HIDDEN_WIDTH * 8
         assert peak <= cache_bytes + out.nbytes + 2 * block_array
 
@@ -329,6 +330,143 @@ def test_blas_threads_reads_openblas(blas_threads):
         env=_subprocess_env(blas_threads), capture_output=True, text=True,
         check=True, timeout=120)
     assert proc.stdout.split() == [blas_threads]
+
+
+# Row counts below, at and above one tile (256 rows) and one pricing
+# block (2048 rows), the benchmark's minibatch and a large odd batch.
+SWEEP_ROWS = (1, 7, 8, 255, 256, 257, 2047, 2048, 2049, 5120, 20_020)
+
+
+@pytest.fixture
+def set_blas_threads():
+    """OpenBLAS's thread-count setter, with this process's count restored
+    after the test; skips under another BLAS."""
+    setter = neuralnet._openblas_function("set_num_threads")
+    if setter is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    before = neuralnet._blas_threads()
+    yield setter
+    setter(before)
+
+
+def _perturbed_policy(width, seed):
+    policy = MlpPolicy(width, seed=seed)
+    rng = np.random.default_rng(seed)
+    policy.set_state([p + rng.normal(0.0, 0.5, p.shape)
+                      for p in policy.get_state()])
+    return policy
+
+
+class TestRowSweep:
+    def test_forwards_and_cache_equal_reference_forward(
+            self, monkeypatch, set_blas_threads):
+        # one BLAS thread fixes the reference bits (see TestBlockedForward)
+        set_blas_threads(1)
+        forward, tiled = MlpPolicy._forward, set()
+
+        def recording_forward(policy, cache, out, tiles):
+            tiled.add(tiles is not None
+                      and out.shape[0] % neuralnet.TILE_ROWS == 0)
+            forward(policy, cache, out, tiles)
+
+        monkeypatch.setattr(MlpPolicy, "_forward", recording_forward)
+        policy = _perturbed_policy(5, 3)
+        rng = np.random.default_rng(4)
+        for rows in SWEEP_ROWS:
+            x = rng.normal(size=(rows, 5))
+            whole, reference_cache = reference_forward(policy, x)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(neuralnet, "FORWARD_THREADS", threads)
+                assert _same_bits(policy.forward_np(x), whole), (rows, threads)
+                arrays = neuralnet._training_arrays(rows)
+                out, _ = policy(x, arrays)
+                assert _same_bits(out, whole), (rows, threads)
+                for a, b in zip(arrays, reference_cache[1:], strict=True):
+                    assert _same_bits(a, b), (rows, threads)
+        assert tiled == {True, False}  # tiled and broadcast blocks ran
+
+    def test_what_blas_threads_change(self, set_blas_threads):
+        # the pricing forward, and the training forward with its dense
+        # (every row non-zero, as under ERM) and sparse (a 5% tail, as
+        # under CVaR) backward, at one and at two BLAS threads.  The
+        # positions and every gradient but the weights' keep their bits.
+        # The weight gradients sum over the rows in one product, and
+        # OpenBLAS 0.3.31 (SkylakeX) at two threads changed their last
+        # bits at 2049 and 20 020 rows, so the README's bit contract
+        # keeps the BLAS thread count.
+        policy = _perturbed_policy(5, 6)
+        rng = np.random.default_rng(7)
+        weights = {0, 4, 8, 12}
+        for rows in SWEEP_ROWS:
+            x = rng.normal(size=(rows, 5))
+            dense = rng.normal(size=rows)
+            sparse = np.where(rng.random(rows) < 0.05, dense, 0.0)
+            runs = []
+            for threads in (1, 2):
+                set_blas_threads(threads)
+                assert neuralnet._blas_threads() == threads
+                run = [("forward_np", policy.forward_np(x))]
+                for g in (dense, sparse):
+                    out, backward = policy(x)
+                    run.append(("positions", out))
+                    run += enumerate(backward(g))
+                runs.append(run)
+            assert len(runs[0]) == 1 + 2 * 15
+            for (what, a), (_, b) in zip(*runs):
+                if what in weights:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+                else:
+                    assert _same_bits(a, b), (rows, what)
+
+
+class TestFanOut:
+    def test_fan_out_inside_an_item_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        starts, inner = [], []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+
+        def item(i):
+            neuralnet._fan_out(lambda j: inner.append((i, j)), range(3), 3)
+
+        neuralnet._fan_out(item, range(4), 4)
+        assert len(starts) == 1  # the outer call's helper
+        assert sorted(inner) == [(i, j) for i in range(4) for j in range(3)]
+        # the flag ends with the items: a later call starts its helper
+        neuralnet._fan_out(lambda i: None, range(2), 2)
+        assert len(starts) == 2
+
+    def test_serial_fan_out_runs_each_item_as_it_is_yielded(
+            self, monkeypatch):
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        events = []
+
+        def items():
+            for i in range(3):
+                events.append(("yield", i))
+                yield i
+
+        def serial_fan_out():
+            events.clear()
+            neuralnet._fan_out(lambda i: events.append(("run", i)), items(),
+                               3)
+            return events == [(e, i) for i in range(3)
+                              for e in ("yield", "run")]
+
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 1)
+        assert serial_fan_out()
+        # inside an item, whatever FORWARD_THREADS says
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        nested = []
+        neuralnet._fan_out(lambda _: nested.append(serial_fan_out()),
+                           range(1), 1)
+        assert nested == [True]
 
 
 def _fail_in_a_helper(monkeypatch, call, *args):
@@ -492,12 +630,14 @@ def test_policy_node_gradients_equal_reference_graph(
 
 
 # Losses and gradients at the benchmark's minibatch shape (256 paths x 20
-# steps) and at shapes around the backward's gather gate, from the
-# reference graph and from minibatch_loss on 1, 2 and 3 threads, saved to
-# the npz named by argv[1].  Rows past a few dozen reach OpenBLAS's
-# large-shape kernels, which the hypothesis test above never does.  The
-# training forward's positions and cache arrays are saved as digests,
-# beside those of one unblocked reference forward.
+# steps), at shapes around the backward's gather gate and at ERM row
+# counts that are multiples of neither 8 nor 256, from the reference
+# graph and from minibatch_loss on 1, 2 and 3 threads, saved to the npz
+# named by argv[1].  Rows past a few dozen reach OpenBLAS's large-shape
+# kernels, which the hypothesis test above never does.  The training
+# forward's positions and cache arrays are saved as digests, beside
+# those of one unblocked reference forward; the cache is copied before
+# the backward, which under ERM overwrites it.
 _MINIBATCH_GRADIENT_CASES = """
 import hashlib
 import sys
@@ -519,7 +659,7 @@ def recording_forward(policy, x, arrays=None):
     return out, grads
 
 def recording_backward(policy, g, cache):
-    seen.extend(cache)
+    seen.extend(a.copy() for a in cache)
     return backward(policy, g, cache)
 
 def digests(arrays):
@@ -537,7 +677,11 @@ cases += [(4, RiskMeasure("erm", lam=1.0), 0.002, 256, 20),
           (4, RiskMeasure("cvar", alpha=0.99), 0.002, 256, 20),
           (5, RiskMeasure("cvar", alpha=0.8), 0.0, 4, 20),
           # a 1-row tail: dense
-          (4, RiskMeasure("cvar", alpha=0.99), 0.0, 64, 1)]
+          (4, RiskMeasure("cvar", alpha=0.99), 0.0, 64, 1),
+          # dense, in place: 259 and 2020 rows, so the threads' blocks
+          # are partly tiled and partly broadcast
+          (4, RiskMeasure("erm", lam=1.0), 0.0, 37, 7),
+          (5, RiskMeasure("erm", lam=10.0), 0.002, 101, 20)]
 arrays = {}
 for i, (width, measure, cost_rate, n_paths, steps) in enumerate(cases):
     paths = _gbm_like_paths(n_paths, steps=steps, seed=i)
@@ -557,7 +701,7 @@ for i, (width, measure, cost_rate, n_paths, steps) in enumerate(cases):
                                                         measure, cost_rate)
         # the fused loss records its positions and, at backward(), its
         # cache; the reference graph records neither
-        assert len(seen) == 17
+        assert len(seen) == 11
         arrays[f"{i}_forward_{threads}"] = digests(seen)
         arrays[f"{i}_loss_{threads}"] = loss
         for j, a in enumerate(fused):
@@ -582,7 +726,7 @@ def _minibatch_cases(tmp_path, blas_threads: str) -> dict:
         for key in blob.files:
             name, run = key.rsplit("_", 1)
             cases.setdefault(name, {})[run] = blob[key]
-    assert len(cases) == 10 * (1 + 14 + 1)
+    assert len(cases) == 12 * (1 + 14 + 1)
     return cases
 
 
@@ -590,8 +734,8 @@ def test_minibatch_gradients_equal_reference_graph(tmp_path):
     # one BLAS thread fixes the reference bits (see TestBlockedForward)
     for name, runs in _minibatch_cases(tmp_path, "1").items():
         if name.endswith("_forward"):
-            # the training forward's positions and 16 cache arrays
-            assert runs["whole"].size == 17
+            # the training forward's positions and 10 cache arrays
+            assert runs["whole"].size == 11
             for threads in ("1", "2", "3"):
                 assert np.array_equal(runs[threads], runs["whole"]), (
                     name, threads)
@@ -771,7 +915,7 @@ class TestTrain:
               OptionSpec("european_call", maturity_days=8), ERM1, lr=1e-2,
               epochs=2, minibatch=16, seed=0)
         first = caches[0]
-        assert len(first) == 15 and len(caches) == 6
+        assert len(first) == 9 and len(caches) == 6
         for i, arrays in enumerate(caches):
             rows = 8 * (8 if i % 3 == 2 else 16)
             for a, b in zip(arrays, first):
