@@ -22,7 +22,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import scipy
@@ -45,22 +45,24 @@ ENV_PREFIX = "HEDGELAB__"
 # where a run writes without --out; not a config key, so not in manifests
 DEFAULT_OUT = "out"
 
+
+def _field_defaults(cls, *not_keys) -> dict:
+    """The defaults of ``cls``'s fields, in field order, but ``not_keys``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in not_keys}
+
+
+# typed sections: their dataclasses' defaults, less the fields the run sets
+# (n_steps, days, the market's seed), dt, and measure.kind, which has none
 DEFAULT_CONFIG = {
     "seed": 0,
     "cost_rate": 0.0,
     "generator": "gbm",
-    "gbm": {"mu": 0.0, "sigma": 0.2},
-    "heston": {"kappa": 1.0, "theta": 0.04, "v0": 0.04,
-               "vol_of_vol": 0.2, "rho": -0.7},
-    "market": {"n_agents": 100, "agents_per_step": 5, "sigma_star": 1e-3,
-               "sigma": 1e-3, "preopen_steps": 100, "steps_per_day": 50,
-               "order_ttl": None,
-               "population": {"w_f": 1.0, "w_c": 1.0, "w_n": 1.0,
-                              "tau_star_min": 100, "tau_star_max": 200,
-                              "tau_min": 1, "tau_max": 20,
-                              "k_min": 0.0, "k_max": 0.05}},
-    "option": {"kind": "european_call", "strike": 1.0, "maturity_days": 20},
-    "measure": {"kind": "erm", "lam": 1.0, "alpha": 0.95},
+    "gbm": _field_defaults(GbmParams, "dt", "n_steps"),
+    "heston": _field_defaults(HestonParams, "dt", "n_steps"),
+    "market": {**_field_defaults(MarketConfig, "days", "seed"),
+               "population": _field_defaults(AgentPopulation)},
+    "option": _field_defaults(OptionSpec),
+    "measure": {"kind": "erm", **_field_defaults(RiskMeasure, "kind")},
     "train": {"paths": 1000, "epochs": 10, "lr": 1e-3, "minibatch": 256,
               "val_split": 0.2},
     "eval": {"source": None, "n_paths": 1000, "stride": 1},
@@ -176,9 +178,9 @@ def load_config(path=None, environ=None) -> dict:
 
 def _build(cls, section: dict, name: str, **extra):
     """``cls(**section)``, with a rejected value reported under ``name``."""
-    fields = {k: v for k, v in section.items() if not isinstance(v, dict)}
+    leaves = {k: v for k, v in section.items() if not isinstance(v, dict)}
     try:
-        return cls(**fields, **extra)
+        return cls(**leaves, **extra)
     except ValueError as exc:
         raise ValueError(f"config section {name!r}: {exc}") from None
 

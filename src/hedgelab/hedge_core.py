@@ -99,10 +99,9 @@ def _trailing_vols(paths: np.ndarray) -> np.ndarray:
     csq = np.cumsum(r * r, axis=1)
     counts = np.arange(n, dtype=np.float64)     # returns available at step i
     vols = np.full((b, n), VOL_PRIOR)
-    have = counts > 0
-    m1 = csum[:, :-1] / np.maximum(counts[1:], 1.0)
-    m2 = csq[:, :-1] / np.maximum(counts[1:], 1.0)
+    m1 = csum[:, :-1] / counts[1:]
+    m2 = csq[:, :-1] / counts[1:]
     sd = np.sqrt(np.maximum(m2 - m1 * m1, 0.0)) * np.sqrt(ANNUAL_DAYS)
     w = np.minimum(counts[1:] / VOL_BLEND_MIN_RETURNS, 1.0)
-    vols[:, have] = w * sd + (1.0 - w) * VOL_PRIOR
+    vols[:, 1:] = w * sd + (1.0 - w) * VOL_PRIOR
     return np.maximum(vols, VOL_FLOOR)

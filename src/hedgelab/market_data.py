@@ -52,8 +52,8 @@ def load_series(source) -> IndexSeries:
                 close = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{source} row {i}: bad close {row[1]!r}") from exc
-            if close <= 0.0:
-                raise ValueError(f"{source} row {i}: non-positive close {close}")
+            if not 0.0 < close < np.inf:
+                raise ValueError(f"{source} row {i}: non-positive or non-finite close {close}")
             rows.append((date, close))
     if not rows:
         raise ValueError(f"{source}: no data rows")

@@ -17,15 +17,15 @@ the full-size cache (per hidden block: centered pre-activation, row std,
 output), which ``train`` owns and refills, and which the hand-derived
 MLP backward (``_backward``) reads.  ``minibatch_loss`` is one training
 step's loss and gradient: the risk measure and the PL differentiated in
-closed form, then that backward.  When every row's position gradient is
-non-zero (ERM), the backward's chain writes its steps into the cache
-itself and runs its four weight products as it goes; otherwise (CVaR)
-it works on the non-zero rows only, its products into the next block
-too where the bits allow it, and the same loop runs its four full-shape
-weight products beside the chain.  Either way its bits equal a dense
-serial pass's.  ``cli.cmd_reproduce_table`` trains its cells through
-``_fan_out`` too; a fan-out inside a cell then runs on the cell's
-thread.
+closed form, then that backward.  Its chain comes in two forms, and
+``_backward`` alone picks one: the dense chain writes its steps into the
+cache itself and runs its four weight products as it goes (ERM, and
+small batches or single-row tails under CVaR); the gathered chain (a
+CVaR tail in a large batch) works on the non-zero rows only, and the
+same loop runs its four full-shape weight products beside it.  Either
+way its bits equal a dense serial pass's.  ``cli.cmd_reproduce_table``
+trains its cells through ``_fan_out`` too; a fan-out inside a cell then
+runs on the cell's thread.
 
 ``policy_price`` is the one pricing pass (features -> policy
 -> PL -> indifference price); its step from built features,
@@ -76,9 +76,9 @@ FORWARD_BLOCK_ROWS = 2048
 # (see ``_fan_out``): the CPUs this process may run on
 FORWARD_THREADS = (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# Batch rows from which the backward's product into the next block runs
-# on the non-zero rows only (see ``MlpPolicy._chain``): above the 38 rows
-# where OpenBLAS switches kernels, with margin.
+# Batch rows from which the backward runs its gathered chain (see
+# ``MlpPolicy._backward``): above the 38 rows where OpenBLAS switches
+# kernels, with margin.
 GATHER_MIN_BATCH_ROWS = 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -174,17 +174,23 @@ class MlpPolicy:
 
         The chain (``_chain``) runs from the head back to the first block
         and yields each weight gradient's product as soon as it has the
-        operands.  When some rows of ``g`` are zero (under CVaR), the
-        chain works on gathered copies, and the products go to helper
-        threads (see ``_fan_out``) beside it.  When every row is non-zero
-        (under ERM), the chain overwrites the cache in place, so this
-        thread runs each product before the chain goes on; on a 2-vCPU
-        Xeon at one BLAS thread, a 5120-row backward took 7.0 ms this way
-        against 9.7 ms with allocating steps beside helper products
-        (medians of 300 calls).  Each product's operands and shape are
-        those of a
-        serial pass, so its bits do not depend on the thread that runs
-        it.  The cache is dead once its gradient is taken.
+        operands.  Here alone it picks its form.  It runs dense, in place
+        on the cache, when every row of ``g`` is non-zero (ERM), when the
+        batch has fewer than ``GATHER_MIN_BATCH_ROWS`` rows, or when fewer
+        than 2 rows are non-zero, and this thread runs each product before
+        the chain overwrites its operand (on a 2-vCPU Xeon at one BLAS
+        thread, a 5120-row backward took 7.0 ms so, against 9.7 ms with
+        allocating steps beside helper products; medians of 300 calls).
+        Otherwise (a CVaR tail in a large batch) it runs on copies of the
+        non-zero rows, and the products go to helper threads (see
+        ``_fan_out``) beside it.  At one BLAS thread, ``(m, 32) @ W.T``
+        through the transposed view switches kernels at 38 rows, and from
+        there on its rows equal the gathered rows' product with a
+        contiguous ``W^T``, while a single row goes through numpy's
+        matrix-vector path: hence the bounds.  Each product's operands and
+        shape are those of a serial pass, so its bits do not depend on
+        the thread that runs it.  The cache is dead once its gradient is
+        taken.
         """
         g = g.reshape(-1, 1)
         nonzero = np.flatnonzero(g)
@@ -194,7 +200,8 @@ class MlpPolicy:
             i, a, b = item
             grads[i] = a @ b
 
-        if nonzero.size == g.shape[0]:
+        if (nonzero.size == g.shape[0] or nonzero.size < 2
+                or g.shape[0] < GATHER_MIN_BATCH_ROWS):
             for item in self._chain(g, cache, grads, slice(None)):
                 weight_gradient(item)
         else:
@@ -223,29 +230,21 @@ class MlpPolicy:
         it.
 
         A row whose position gradient is zero stays zero through every
-        block, so the elementwise steps, row sums and axis-0 sums run on
-        the non-zero rows only (under CVaR, the tail paths' rows).  A
-        zero row adds only signed zeros, and numpy's sums start from +0,
-        so the sums keep their bits.  (A non-finite activation in a zero
-        row would have made them NaN; it reaches the head's input, so
-        the dense head gradient is NaN either way.)  The weight
-        gradients sum over rows, and OpenBLAS picks their kernel by
-        shape, so they keep the full ``(n, .)`` shape, the non-zero rows
-        scattered into zeros.  The head's outer product (K = 1) has one
-        multiplication per element, so it runs on the non-zero rows.  So
-        does the product into the next block, as ``rows @ W^T`` with a
-        contiguous ``W^T``, when the batch has at least
-        ``GATHER_MIN_BATCH_ROWS`` rows and at least 2 rows are non-zero:
-        at one BLAS thread, ``(m, 32) @ W.T`` through the transposed view
-        switches kernels at 38 rows, and from there on its rows equal the
-        gathered product's, while a single row goes through numpy's
-        matrix-vector path.  Otherwise that product is the dense one.
+        block, so gathered rows run the elementwise steps, row sums and
+        axis-0 sums on the non-zero rows only (the CVaR tail's).  A zero
+        row adds only signed zeros, and numpy's sums start from +0, so
+        the sums keep their bits.  (A non-finite activation in a zero row
+        would have made them NaN; it reaches the head's input, so the
+        dense head gradient is NaN either way.)  The weight gradients sum
+        over rows, and OpenBLAS picks their kernel by shape, so they keep
+        the full ``(n, .)`` shape, the non-zero rows scattered into
+        zeros.  The head's outer product (K = 1) has one multiplication
+        per element; the product into the next block is ``rows @ W^T``
+        with a contiguous ``W^T`` (see ``_backward``).
         """
         inv_w = 1.0 / HIDDEN_WIDTH
         head_w, _ = self._layers[-1]
-        n = g.shape[0]
         sparse = not isinstance(rows, slice)
-        gather = sparse and n >= GATHER_MIN_BATCH_ROWS and rows.size >= 2
         yield 12, cache[-1].T, g
         grads[13] = g.sum(axis=0)
         g = g[rows] @ head_w.T
@@ -282,11 +281,9 @@ class MlpPolicy:
                 full[rows] = g
             yield 4 * k, cache[3 * k].T, full
             grads[4 * k + 1:4 * k + 4] = g.sum(axis=0), d_gain, d_bias
-            if k and sparse and not gather:
-                g = (full @ wt.T)[rows]
-            elif k:
+            if k:
                 # into the centered activations, spent above
-                np.matmul(g, np.ascontiguousarray(wt.T) if gather else wt.T,
+                np.matmul(g, np.ascontiguousarray(wt.T) if sparse else wt.T,
                           out=centered)
                 g = centered
 

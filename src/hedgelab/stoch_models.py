@@ -4,8 +4,8 @@ GBM uses the arithmetic difference step
 
     S_{i+1} = S_i * (1 + mu*dt + sigma*sqrt(dt)*eps_i),
 
-with annualized (mu, sigma) and dt in years (1/250 by default); the rare
-path touching a nonpositive price is regenerated and counted.
+with annualized (mu, sigma) and dt in years (one trading day by default);
+the rare path touching a nonpositive price is regenerated and counted.
 
 The Heston variance follows the quadratic-exponential scheme: given the
 conditional mean m and variance s2 of V_{t+dt} | V_t, the regime switch
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hedge_core import ANNUAL_DAYS
 from .normal import ndtri
 
 PSI_SWITCH = 1.5
@@ -44,7 +45,7 @@ _GAMMA2 = 0.5
 class GbmParams:
     mu: float = 0.0
     sigma: float = 0.2
-    dt: float = 1.0 / 250.0
+    dt: float = 1.0 / ANNUAL_DAYS
     n_steps: int = 20
 
     def __post_init__(self):
@@ -65,7 +66,7 @@ class HestonParams:
     v0: float = 0.04
     vol_of_vol: float = 0.2
     rho: float = -0.7
-    dt: float = 1.0 / 250.0
+    dt: float = 1.0 / ANNUAL_DAYS
     n_steps: int = 20
 
     def __post_init__(self):

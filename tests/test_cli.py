@@ -14,13 +14,9 @@ import yaml
 import hedgelab
 from _reference import load_paths
 from hedgelab.cli import (CHOICES, DEFAULT_CONFIG, FLAGS, NULLABLE, RANGES,
-                          _build, config_hash, load_config, main)
-from hedgelab.fcn_agents import AgentPopulation, MarketConfig
-from hedgelab.instruments import OptionSpec
+                          config_hash, load_config, main)
 from hedgelab import neuralnet
 from hedgelab.neuralnet import load_policy
-from hedgelab.risk import RiskMeasure
-from hedgelab.stoch_models import GbmParams, HestonParams
 
 
 def _write_cfg(tmp_path, tree, name="config.yaml"):
@@ -95,22 +91,12 @@ class TestLoadConfig:
         cfg = load_config(p, environ={"HEDGELAB__SEED": "9"})
         assert cfg["seed"] == 9
 
-    def test_typed_sections_default_to_their_dataclasses(self):
-        # DEFAULT_CONFIG and the dataclasses each state the defaults
+    def test_default_config_hash_is_pinned(self):
+        # the typed sections come from their dataclasses' defaults, in
+        # field order; a moved or renamed field changes this hash
         cfg = load_config()
-        days = cfg["option"]["maturity_days"]
-        assert days == 20
-        assert _build(GbmParams, cfg["gbm"], "gbm",
-                      n_steps=days) == GbmParams(n_steps=20)
-        assert _build(HestonParams, cfg["heston"], "heston",
-                      n_steps=days) == HestonParams(n_steps=20)
-        assert _build(MarketConfig, cfg["market"], "market",
-                      days=days) == MarketConfig(days=20)
-        assert _build(AgentPopulation, cfg["market"]["population"],
-                      "market.population") == AgentPopulation()
-        assert _build(OptionSpec, cfg["option"], "option") == OptionSpec()
-        assert _build(RiskMeasure, cfg["measure"],
-                      "measure") == RiskMeasure("erm")
+        assert config_hash(cfg) == "7aeaf33047c9a5c1"
+        assert list(cfg["gbm"]) == ["mu", "sigma"]
 
 
 class TestConfigHash:
@@ -511,6 +497,25 @@ class TestTrainAndPrice:
         assert rc == 0
         line = (price_out / "price.csv").read_text().strip().split("\n")[1]
         assert line.split(",")[1] == "index_dev"  # dataset label = file stem
+
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
+    def test_non_finite_eval_close_exits_2(self, trained, tmp_path, capsys,
+                                           close):
+        _, _, out = trained
+        src = tmp_path / "series.csv"
+        closes = [f"{1.0 + i / 100!r}" for i in range(25)]
+        closes[10] = close
+        src.write_text("date,close\n" + "".join(
+            f"2024-01-{i + 1:02d},{c}\n" for i, c in enumerate(closes)))
+        cfg = _write_cfg(tmp_path, {
+            **TINY_TRAIN,
+            "checkpoint": str(out / "checkpoint.npz"),
+            "eval": {"source": str(src)}})
+        rc = main(["price", "--config", str(cfg),
+                   "--out", str(tmp_path / "po")])
+        assert rc == 2
+        assert f"{src} row 12: non-positive or non-finite close" in (
+            capsys.readouterr().err)
 
     def test_bad_eval_window_exits_2(self, trained, tmp_path, capsys):
         _, _, out = trained

@@ -57,6 +57,13 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="non-positive"):
             load_series(p)
 
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
+    def test_non_finite_close(self, tmp_path, close):
+        p = _write(tmp_path, f"date,close\n2024-01-02,1.0\n2024-01-03,{close}\n")
+        with pytest.raises(ValueError,
+                           match=r"series\.csv row 3: .*non-finite close"):
+            load_series(p)
+
     def test_empty_file(self, tmp_path):
         p = _write(tmp_path, "date,close\n")
         with pytest.raises(ValueError, match="no data"):

@@ -243,6 +243,42 @@ class TestBlockedForward:
         helpers = 1 if blas_threads == 1 else 0
         assert (n_pricing, n_training, n_backward) == (helpers,) * 3
 
+    def test_small_cvar_batch_runs_the_dense_chain(self, monkeypatch):
+        # a CVaR tail of several rows in a batch under
+        # GATHER_MIN_BATCH_ROWS rows: the in-place chain over all rows,
+        # its products on this thread, and the reference graph's bits
+        monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
+        chains, starts = [], []
+        chain = MlpPolicy._chain
+
+        def recording_chain(policy, g, cache, grads, rows):
+            chains.append((g.shape[0], np.count_nonzero(g), rows))
+            return chain(policy, g, cache, grads, rows)
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(MlpPolicy, "_chain", recording_chain)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        paths = _gbm_like_paths(9, steps=5, seed=3)
+        spec = OptionSpec("european_call", maturity_days=5)
+        args = (_randomized_policy(), features_matrix(paths, spec), paths,
+                payoff_batch(spec, paths), RiskMeasure("cvar", alpha=0.7),
+                0.0)
+        loss = minibatch_loss(*args)  # its forward's 2 blocks: a helper
+        starts.clear()
+        fused = loss.backward()
+        graph = reference_minibatch_loss(*args).backward()
+        [(n, nonzero, rows)] = chains
+        assert n == 45 < neuralnet.GATHER_MIN_BATCH_ROWS
+        assert 2 <= nonzero < n
+        assert isinstance(rows, slice) and rows == slice(None)
+        assert starts == []
+        assert all(_same_bits(a, b) for a, b in zip(fused, graph))
+
     def test_no_thread_outlives_a_call(self, monkeypatch):
         monkeypatch.setattr(neuralnet, "FORWARD_THREADS", 2)
         monkeypatch.setattr(neuralnet, "_blas_threads", lambda: 1)
@@ -581,7 +617,10 @@ def _flatten(paths, flat):
     return paths
 
 
-# at-most-one-non-zero-row and all-zero cases: a one-path CVaR tail on
+# Every batch here has at most 45 rows, under GATHER_MIN_BATCH_ROWS, so
+# the backward takes its dense chain, zero rows and all; the gathered
+# chain is checked at larger shapes by _MINIBATCH_GRADIENT_CASES.
+# At-most-one-non-zero-row and all-zero cases: a one-path CVaR tail on
 # paths that move only at their last step, and on flat paths; ERM with
 # lambda large enough that exp underflows to 0 for all but the worst paths
 @example(seed=1, lookback=False, batch=2, use_cvar=True, cost_rate=0.0,
@@ -630,14 +669,15 @@ def test_policy_node_gradients_equal_reference_graph(
 
 
 # Losses and gradients at the benchmark's minibatch shape (256 paths x 20
-# steps), at shapes around the backward's gather gate and at ERM row
-# counts that are multiples of neither 8 nor 256, from the reference
-# graph and from minibatch_loss on 1, 2 and 3 threads, saved to the npz
-# named by argv[1].  Rows past a few dozen reach OpenBLAS's large-shape
-# kernels, which the hypothesis test above never does.  The training
-# forward's positions and cache arrays are saved as digests, beside
-# those of one unblocked reference forward; the cache is copied before
-# the backward, which under ERM overwrites it.
+# steps), at shapes on both sides of the backward's choice of chain (see
+# ``MlpPolicy._backward``) and at ERM row counts that are multiples of
+# neither 8 nor 256, from the reference graph and from minibatch_loss on
+# 1, 2 and 3 threads, saved to the npz named by argv[1].  Rows past a few
+# dozen reach OpenBLAS's large-shape kernels, which the hypothesis test
+# above never does.  The training forward's positions and cache arrays
+# are saved as digests, beside those of one unblocked reference forward;
+# the cache is copied before the backward, which in its dense chain
+# overwrites it.
 _MINIBATCH_GRADIENT_CASES = """
 import hashlib
 import sys
@@ -672,11 +712,12 @@ cases = [(w, cvar, c, 256, 20) for w in (4, 5) for c in (0.0, 0.002)]
 cases += [(4, RiskMeasure("erm", lam=1.0), 0.002, 256, 20),
           (4, RiskMeasure("erm", lam=1.0), 0.0, 256, 20),
           (5, RiskMeasure("erm", lam=1e5), 0.002, 256, 20),
-          # gathered: a 60-row tail, then a 20-row tail (under the 38 rows
-          # where the transposed view's kernel changes) of an 80-row batch
+          # the gathered chain: a 60-row tail, then a 20-row tail (under
+          # the 38 rows where the transposed view's kernel changes) of an
+          # 80-row batch
           (4, RiskMeasure("cvar", alpha=0.99), 0.002, 256, 20),
           (5, RiskMeasure("cvar", alpha=0.8), 0.0, 4, 20),
-          # a 1-row tail: dense
+          # a 1-row tail of a 64-row batch: the dense chain, in place
           (4, RiskMeasure("cvar", alpha=0.99), 0.0, 64, 1),
           # dense, in place: 259 and 2020 rows, so the threads' blocks
           # are partly tiled and partly broadcast
