@@ -25,7 +25,6 @@ import sys
 from dataclasses import fields, replace
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -34,8 +33,8 @@ from .hedge_core import feature_width, features_matrix
 from .instruments import OptionSpec, payoff_batch
 from .market_data import extract_windows, load_series, stylized_stats, write_stats_csv
 from .neuralnet import (MlpPolicy, _fan_out, _openblas_function,
-                        _price_features, load_policy, policy_price,
-                        save_policy, train, write_report_csv)
+                        _price_features, load_policy, save_policy, train,
+                        write_report_csv)
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
@@ -52,13 +51,13 @@ def _field_defaults(cls, *not_keys) -> dict:
 
 
 # typed sections: their dataclasses' defaults, less the fields the run sets
-# (n_steps, days, the market's seed), dt, and measure.kind, which has none
+# (n_steps, days, the market's seed) and measure.kind, which has none
 DEFAULT_CONFIG = {
     "seed": 0,
     "cost_rate": 0.0,
     "generator": "gbm",
-    "gbm": _field_defaults(GbmParams, "dt", "n_steps"),
-    "heston": _field_defaults(HestonParams, "dt", "n_steps"),
+    "gbm": _field_defaults(GbmParams, "n_steps"),
+    "heston": _field_defaults(HestonParams, "n_steps"),
     "market": {**_field_defaults(MarketConfig, "days", "seed"),
                "population": _field_defaults(AgentPopulation)},
     "option": _field_defaults(OptionSpec),
@@ -229,7 +228,6 @@ def write_manifest(out_dir, cfg: dict, command: str, seed: int) -> None:
                 "seed": seed,
                 "versions": {"hedgelab": __version__,
                              "numpy": np.__version__,
-                             "scipy": scipy.__version__,
                              "python": platform.python_version()}}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
@@ -261,12 +259,11 @@ def evaluation_paths(cfg: dict, sim, seed: int, parallel: int = 1):
     fresh batch from the configured generator.  Returns (paths, label)."""
     ev = cfg["eval"]
     if ev["source"]:
-        paths = extract_windows(
-            load_series(ev["source"]).closes,
-            window_days=cfg["option"]["maturity_days"] + 1,
-            stride=ev["stride"])
-        if paths.shape[0] == 0:
+        closes = load_series(ev["source"]).closes
+        window_days = cfg["option"]["maturity_days"] + 1
+        if closes.size < window_days:
             raise ValueError(f"{ev['source']}: not enough rows for one window")
+        paths = extract_windows(closes, window_days, ev["stride"])
         label = os.path.splitext(os.path.basename(ev["source"]))[0]
         return paths, label
     paths, _ = generate_paths(sim, ev["n_paths"], seed, parallel)
@@ -378,7 +375,9 @@ def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
         policy, _ = _train_policy(cfg, spec, measure, sim, _train_seeds(seed),
                                   args.parallel)
     paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
-    price = policy_price(policy, paths, spec, measure, cfg["cost_rate"])
+    price = _price_features(policy, features_matrix(paths, spec), paths,
+                            payoff_batch(spec, paths), measure,
+                            cfg["cost_rate"])
     out_path = os.path.join(out_dir, "price.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write("derivative,dataset,measure,generator,price\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -22,9 +21,6 @@ import numpy as np
 class IndexSeries:
     dates: list
     closes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass
@@ -69,16 +65,11 @@ def load_series(source) -> IndexSeries:
 def extract_windows(closes, window_days: int = 21, stride: int = 1) -> np.ndarray:
     """Sliding windows of a close array, each normalized so it starts at 1.0.
 
-    A series shorter than one window yields an empty (0, window_days)
-    batch with a warning.
+    A series shorter than one window raises ValueError.
     """
     closes = np.asarray(closes, dtype=float)
     if window_days < 2 or stride < 1:
         raise ValueError("window_days must be >= 2 and stride >= 1")
-    if len(closes) < window_days:
-        warnings.warn(f"series of length {len(closes)} shorter than one "
-                      f"{window_days}-day window")
-        return np.empty((0, window_days))
     windows = np.lib.stride_tricks.sliding_window_view(
         closes, window_days)[::stride]
     return windows / windows[:, :1]
@@ -112,11 +103,11 @@ def stylized_stats(paths: np.ndarray, max_lag: int = 20,
     report a missing kurtosis.
     """
     stats = StylizedStats()
+    r1 = lag_returns(paths, 1)
     for lag in range(1, max_lag + 1):
-        r = lag_returns(paths, lag)
+        r = r1 if lag == 1 else lag_returns(paths, lag)
         stats.kurtosis_by_lag[lag] = raw_kurtosis(r) if r.size >= 4 else None
 
-    r1 = lag_returns(paths, 1)
     if r1.size:
         std = r1.std()
         if std > 0.0:

@@ -27,12 +27,12 @@ way its bits equal a dense serial pass's.  ``cli.cmd_reproduce_table``
 trains its cells through ``_fan_out`` too; a fan-out inside a cell then
 runs on the cell's thread.
 
-``policy_price`` is the one pricing pass (features -> policy
--> PL -> indifference price); its step from built features,
-``_price_features``, lets training's validation and the table reuse
-them across epochs and policies.  Adam's moment decays and epsilon are
-the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``; only its
-learning rate is a setting.
+``_price_features`` is the one pricing pass (policy -> PL ->
+indifference price) from built features and payoffs, so training's
+validation, ``price``, ``tune`` and the table build those once per
+path set and reuse them across epochs and policies.  Adam's moment
+decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``; only its learning rate is a setting.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from .hedge_core import features_matrix, pl_core, position_change_matrix
 from .instruments import OptionSpec, payoff_batch
 from .risk import ERM, RiskMeasure, cvar_tail, indifference_price
 
-__all__ = ["MlpPolicy", "Adam", "TrainReport", "minibatch_loss",
-           "policy_price", "train", "save_policy", "load_policy",
-           "write_report_csv"]
+__all__ = ["MlpPolicy", "Adam", "TrainReport", "minibatch_loss", "train",
+           "save_policy", "load_policy", "write_report_csv"]
 
 HIDDEN_WIDTH = 32
 LN_EPS = 1e-5
@@ -567,18 +566,12 @@ def minibatch_loss(policy: MlpPolicy, feats: np.ndarray, paths: np.ndarray,
     return Tensor(float(loss), grads)
 
 
-def policy_price(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
-                 measure: RiskMeasure, cost_rate: float = 0.0) -> float:
-    """Indifference price of ``spec`` hedged by ``policy`` over ``paths``,
-    evaluated by the blocked forward pass."""
-    return _price_features(policy, features_matrix(paths, spec), paths,
-                           payoff_batch(spec, paths), measure, cost_rate)
-
-
 def _price_features(policy: MlpPolicy, feats: np.ndarray, paths: np.ndarray,
                     payoffs: np.ndarray, measure: RiskMeasure,
                     cost_rate: float) -> float:
-    """``policy_price`` from the paths' features and payoffs."""
+    """Indifference price of ``payoffs`` over ``paths`` hedged by
+    ``policy``, from the paths' features ``feats`` (the blocked forward
+    pass, then the PL)."""
     deltas = policy.forward_np(
         feats.reshape(-1, feats.shape[2])).reshape(paths.shape[0], -1)
     pl, _, _ = pl_core(paths, deltas, payoffs, cost_rate)

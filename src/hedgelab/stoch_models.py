@@ -4,8 +4,9 @@ GBM uses the arithmetic difference step
 
     S_{i+1} = S_i * (1 + mu*dt + sigma*sqrt(dt)*eps_i),
 
-with annualized (mu, sigma) and dt in years (one trading day by default);
-the rare path touching a nonpositive price is regenerated and counted.
+with annualized (mu, sigma) and dt = ``DT``, one trading day in years
+(the Heston step too); the rare path touching a nonpositive price is
+regenerated and counted.
 
 The Heston variance follows the quadratic-exponential scheme: given the
 conditional mean m and variance s2 of V_{t+dt} | V_t, the regime switch
@@ -33,6 +34,8 @@ import numpy as np
 from .hedge_core import ANNUAL_DAYS
 from .normal import ndtri
 
+# the step of both simulators: one trading day, in years
+DT = 1.0 / ANNUAL_DAYS
 PSI_SWITCH = 1.5
 # heston_paths draws max(1, DRAW_AHEAD // n_paths) steps' uniforms and
 # normals at a time, which bounds that scratch for large path sets
@@ -45,14 +48,11 @@ _GAMMA2 = 0.5
 class GbmParams:
     mu: float = 0.0
     sigma: float = 0.2
-    dt: float = 1.0 / ANNUAL_DAYS
     n_steps: int = 20
 
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -66,7 +66,6 @@ class HestonParams:
     v0: float = 0.04
     vol_of_vol: float = 0.2
     rho: float = -0.7
-    dt: float = 1.0 / ANNUAL_DAYS
     n_steps: int = 20
 
     def __post_init__(self):
@@ -78,8 +77,8 @@ class HestonParams:
             raise ValueError("vol_of_vol must be positive")
         if abs(self.rho) > 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        if self.dt <= 0.0 or self.n_steps < 1:
-            raise ValueError("dt must be positive and n_steps >= 1")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
 
 
 def gbm_paths(params: GbmParams, n_paths: int, seed: int,
@@ -92,8 +91,8 @@ def gbm_paths(params: GbmParams, n_paths: int, seed: int,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
-    drift = 1.0 + params.mu * params.dt
-    scale = params.sigma * np.sqrt(params.dt)
+    drift = 1.0 + params.mu * DT
+    scale = params.sigma * np.sqrt(DT)
     regenerated = 0
     factors = drift + scale * rng.standard_normal((n_paths, params.n_steps))
     bad = (factors <= 0.0).any(axis=1)
@@ -177,22 +176,22 @@ def heston_paths(params: HestonParams, n_paths: int, seed: int,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
-    kappa, theta, sv, rho, dt = (params.kappa, params.theta, params.vol_of_vol,
-                                 params.rho, params.dt)
+    kappa, theta, sv, rho = (params.kappa, params.theta, params.vol_of_vol,
+                             params.rho)
 
     if kappa > 0.0:
-        ekd = np.exp(-kappa * dt)
+        ekd = np.exp(-kappa * DT)
         c1 = sv * sv * ekd * (1.0 - ekd) / kappa
         c2 = theta * sv * sv * (1.0 - ekd) ** 2 / (2.0 * kappa)
     else:
         ekd = 1.0
-        c1 = sv * sv * dt  # kappa -> 0 limit of the conditional variance
+        c1 = sv * sv * DT  # kappa -> 0 limit of the conditional variance
         c2 = 0.0
 
-    k1 = _GAMMA1 * dt * (kappa * rho / sv - 0.5) - rho / sv
-    k2 = _GAMMA2 * dt * (kappa * rho / sv - 0.5) + rho / sv
-    k3 = _GAMMA1 * dt * (1.0 - rho * rho)
-    k4 = _GAMMA2 * dt * (1.0 - rho * rho)
+    k1 = _GAMMA1 * DT * (kappa * rho / sv - 0.5) - rho / sv
+    k2 = _GAMMA2 * DT * (kappa * rho / sv - 0.5) + rho / sv
+    k3 = _GAMMA1 * DT * (1.0 - rho * rho)
+    k4 = _GAMMA2 * DT * (1.0 - rho * rho)
     a_coef = k2 + 0.5 * k4
 
     log_s = np.zeros(n_paths)
@@ -216,7 +215,7 @@ def heston_paths(params: HestonParams, n_paths: int, seed: int,
         k0_star = -np.log(moment) - (k1 + 0.5 * k3) * v
         # outside the moment's domain fall back to the uncorrected drift
         if not valid.all():
-            k0_plain = -rho * kappa * theta * dt / sv
+            k0_plain = -rho * kappa * theta * DT / sv
             k0_star = np.where(valid, k0_star, k0_plain)
 
         log_s = log_s + k0_star + k1 * v + k2 * v_next + np.sqrt(k3 * v + k4 * v_next) * zs[j]

@@ -43,9 +43,9 @@ column by column into the simulator's typed parameters, and
 default_assignment is each generator's no-tuning baseline: the oracle
 of the config route (cli.trial_config, cli.evaluation_paths).
 evaluate_assignment, with its StudyBudget, is a tune trial as the tuner
-once ran it, a train-and-price pipeline of its own: the oracle of
-cli.tune_objective.  extract_windows is the window loop of
-market_data.extract_windows.
+once ran it, a train-and-price pipeline of its own (policy_price prices
+from the paths alone): the oracle of cli.tune_objective.
+extract_windows is the window loop of market_data.extract_windows.
 """
 
 import csv
@@ -60,14 +60,16 @@ from scipy.special import ndtr, ndtri
 
 from hedgelab import autodiff
 from hedgelab.fcn_agents import AgentPopulation, MarketConfig, simulate_paths
-from hedgelab.hedge_core import (ANNUAL_DAYS, feature_width, pl_core,
+from hedgelab.hedge_core import (ANNUAL_DAYS, feature_width,
+                                 features_matrix, pl_core,
                                  position_change_matrix)
 from hedgelab.instruments import OptionSpec, payoff_batch
 from hedgelab.lob import Book, Order
-from hedgelab.neuralnet import LN_EPS, MlpPolicy, policy_price, train
+from hedgelab.neuralnet import LN_EPS, MlpPolicy, _price_features, train
 from hedgelab.risk import ERM, RiskMeasure
-from hedgelab.stoch_models import (_GAMMA1, _GAMMA2, PSI_SWITCH, GbmParams,
-                                   HestonParams, gbm_paths, heston_paths)
+from hedgelab.stoch_models import (_GAMMA1, _GAMMA2, DT, PSI_SWITCH,
+                                   GbmParams, HestonParams, gbm_paths,
+                                   heston_paths)
 from hedgelab.tuner import SearchSpace, TrialFailed
 
 DEFAULT_TTL = 200
@@ -535,7 +537,7 @@ def heston_paths_stepwise(params: HestonParams, n_paths: int, seed: int):
     qe_variance_step and qe_exp_moment."""
     rng = np.random.default_rng(seed)
     kappa, theta, sv, rho, dt = (params.kappa, params.theta, params.vol_of_vol,
-                                 params.rho, params.dt)
+                                 params.rho, DT)
     if kappa > 0.0:
         ekd = np.exp(-kappa * dt)
         c1 = sv * sv * ekd * (1.0 - ekd) / kappa
@@ -750,6 +752,14 @@ class StudyBudget:
     epochs: int = 10
     minibatch: int = 256
     cost_rate: float = 0.0
+
+
+def policy_price(policy: MlpPolicy, paths: np.ndarray, spec: OptionSpec,
+                 measure: RiskMeasure, cost_rate: float = 0.0) -> float:
+    """Indifference price of ``spec`` hedged by ``policy`` over ``paths``,
+    with the paths' features and payoffs built here."""
+    return _price_features(policy, features_matrix(paths, spec), paths,
+                           payoff_batch(spec, paths), measure, cost_rate)
 
 
 def evaluate_assignment(space: SearchSpace, assignment: dict,

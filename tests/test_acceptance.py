@@ -25,7 +25,7 @@ from hedgelab.lob import Book, Order, expire_orders, insert_order
 from hedgelab.market_data import lag_returns, raw_kurtosis
 from hedgelab.neuralnet import MlpPolicy, minibatch_loss, train
 from hedgelab.risk import RiskMeasure, cvar, erm, indifference_price, utility
-from hedgelab.stoch_models import (GbmParams, HestonParams, gbm_paths,
+from hedgelab.stoch_models import (DT, GbmParams, HestonParams, gbm_paths,
                                    heston_paths)
 from hedgelab.tuner import SearchSpace, run_study
 
@@ -149,8 +149,8 @@ def test_criterion_03_gradient_fidelity(acceptance_report):
 
 def test_criterion_04_pricing_anchor(acceptance_report):
     t0 = time.perf_counter()
-    paths = gbm_paths(GbmParams(mu=0.0, sigma=0.2, dt=1.0 / 250, n_steps=20),
-                      10_000, seed=401)
+    paths = gbm_paths(GbmParams(mu=0.0, sigma=0.2, n_steps=20), 10_000,
+                      seed=401)
     policy = MlpPolicy(feature_width(SPEC), seed=402)
     _, report = train(policy, paths, SPEC, RiskMeasure("erm", lam=1.0),
                       lr=1e-3, epochs=100, minibatch=256, seed=403,
@@ -164,7 +164,7 @@ def test_criterion_04_pricing_anchor(acceptance_report):
 
 def test_criterion_05_hedging_efficacy(acceptance_report):
     t0 = time.perf_counter()
-    params = GbmParams(mu=0.0, sigma=0.2, dt=1.0 / 250, n_steps=20)
+    params = GbmParams(mu=0.0, sigma=0.2, n_steps=20)
     measure = RiskMeasure("cvar", alpha=0.95)
     paths = gbm_paths(params, 10_000, seed=501)
     policy = MlpPolicy(feature_width(SPEC), seed=502)
@@ -194,9 +194,9 @@ def test_criterion_05_hedging_efficacy(acceptance_report):
 def test_criterion_06_heston_moments(acceptance_report):
     t0 = time.perf_counter()
     params = HestonParams(kappa=1.0, theta=0.04, v0=0.04, vol_of_vol=0.2,
-                          rho=-0.7, dt=1.0 / 250, n_steps=20)
+                          rho=-0.7, n_steps=20)
     s, v = heston_paths(params, 100_000, seed=601, return_variance=True)
-    horizon = params.n_steps * params.dt
+    horizon = params.n_steps * DT
     target_v = params.theta + (params.v0 - params.theta) * math.exp(
         -params.kappa * horizon)
     n = s.shape[0]

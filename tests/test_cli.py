@@ -25,6 +25,15 @@ def _write_cfg(tmp_path, tree, name="config.yaml"):
     return p
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh process that imports this hedgelab and
+    reads no ``HEDGELAB__`` overrides."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("HEDGELAB__")}
+    env["PYTHONPATH"] = str(Path(hedgelab.__file__).parents[1])
+    return env
+
+
 TINY_TRAIN = {"train": {"paths": 60, "epochs": 2, "minibatch": 64},
               "eval": {"n_paths": 40}}
 
@@ -194,6 +203,26 @@ class TestMainErrors:
         assert not (out / "ledger.csv").exists()
         assert not (out / "price.csv").exists()
 
+    @pytest.mark.parametrize("command", ["price", "tune", "stats"])
+    def test_too_short_eval_source_exits_2_naming_it(self, tmp_path,
+                                                     command):
+        # 10 closes where a 20-day option needs 21; in a fresh process, so
+        # stderr holds everything the run printed there
+        src = tmp_path / "short.csv"
+        src.write_text("date,close\n" + "".join(
+            f"2024-01-{i + 1:02d},{1.0 + i / 100!r}\n" for i in range(10)))
+        cfg = _write_cfg(tmp_path, {
+            "train": {"paths": 30, "epochs": 1, "minibatch": 64},
+            "tune": {"trials": 2}, "eval": {"source": str(src)}})
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from hedgelab.cli import "
+             "main; sys.exit(main(sys.argv[1:]))", command, "--config",
+             str(cfg), "--out", str(tmp_path / "out")],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error ({command}): {src}: not enough rows for one window"]
+
     def test_every_checked_key_is_a_config_key(self):
         # a stale key would make every command exit 2 through KeyError
         keys = [*RANGES, *CHOICES, *NULLABLE, *(key for _, key, _ in FLAGS)]
@@ -210,14 +239,17 @@ class TestMainErrors:
 
 
 # Runs each argv through main in a fresh process and prints, as JSON,
-# whether scipy.special was loaded after the import and after each run.
-_SPECIAL_LOADED = """
+# whether any scipy module was loaded after the import and after each run.
+_SCIPY_LOADED = """
 import json, sys
 from hedgelab.cli import main
-loaded = ["scipy.special" in sys.modules]
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.")
+               for name in sys.modules)
+loaded = [scipy_loaded()]
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append("scipy.special" in sys.modules)
+    loaded.append(scipy_loaded())
 print(json.dumps(loaded))
 """
 
@@ -226,19 +258,16 @@ TINY_MARKET = {"generator": "market",
                           "preopen_steps": 20, "steps_per_day": 5}}
 
 
-def _special_loaded(tmp_path, runs):
-    """scipy.special's presence after the import and after each run."""
+def _scipy_loaded(tmp_path, runs):
+    """scipy's presence after the import and after each run."""
     argvs = []
     for i, (command, tree) in enumerate(runs):
         cfg = _write_cfg(tmp_path, tree, name=f"config{i}.yaml")
         argvs.append([command, "--config", str(cfg),
                       "--out", str(tmp_path / f"out{i}")])
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("HEDGELAB__")}
-    env["PYTHONPATH"] = str(Path(hedgelab.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", _SPECIAL_LOADED,
-                           json.dumps(argvs)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADED,
+                           json.dumps(argvs)], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -251,9 +280,9 @@ SUBCOMMANDS = ("gen-paths", "stats", "train", "price", "tune",
 
 
 class TestColdStart:
-    """No subcommand loads scipy.special: N and its inverse come from
-    hedgelab.normal.  A fresh process is needed: this one has loaded it
-    as the tests' oracle."""
+    """No subcommand loads scipy, a test-only dependency: N and its
+    inverse come from hedgelab.normal.  A fresh process is needed: this
+    one has loaded scipy.special as the tests' oracle."""
 
     def test_gbm_and_market_paths_and_stats_never_load_it(self, tmp_path):
         gbm = {"train": {"paths": 20}, "stats": {"n_paths": 20}}
@@ -261,14 +290,19 @@ class TestColdStart:
                   "stats": {"n_paths": 3}}
         runs = [("gen-paths", gbm), ("stats", gbm),
                 ("gen-paths", market), ("stats", market)]
-        assert _special_loaded(tmp_path, runs) == [False] * 5
+        assert _scipy_loaded(tmp_path, runs) == [False] * 5
+
+    def test_market_price_never_loads_it(self, tmp_path):
+        market = {**TINY_MARKET, "train": {"paths": 5, "epochs": 1},
+                  "eval": {"n_paths": 3}}
+        assert _scipy_loaded(tmp_path, [("price", market)]) == [False] * 2
 
     @pytest.mark.parametrize("generator", ["gbm", "heston"])
     def test_no_subcommand_loads_it(self, tmp_path, generator):
         # Heston steps take N^-1, and features, training and pricing N
         tree = {**TINY_RUN, "generator": generator}
         runs = [(command, tree) for command in SUBCOMMANDS]
-        assert _special_loaded(tmp_path, runs) == [False] * 7
+        assert _scipy_loaded(tmp_path, runs) == [False] * 7
 
 
 # Runs gen-paths through main in a fresh process and prints OpenBLAS's
@@ -297,11 +331,9 @@ class TestBlasThreads:
         ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
         ({"OMP_NUM_THREADS": "2"}, 2)])
     def test_unset_means_one_thread(self, tmp_path, variables, expected):
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("HEDGELAB__")
-               and k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(variables,
-                   PYTHONPATH=str(Path(hedgelab.__file__).parents[1]))
+        env = {k: v for k, v in _fresh_env().items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(variables)
         proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_RUN,
                                str(tmp_path / "out")], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -351,8 +383,7 @@ class TestGenPaths:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen-paths"
         assert manifest["config_hash"] == meta["config_hash"]
-        assert set(manifest["versions"]) == {"hedgelab", "numpy", "scipy",
-                                             "python"}
+        assert set(manifest["versions"]) == {"hedgelab", "numpy", "python"}
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

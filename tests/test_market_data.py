@@ -22,7 +22,7 @@ class TestLoadSeries:
     def test_valid_two_rows(self, tmp_path):
         p = _write(tmp_path, "date,close\n2024-01-02,4742.83\n2024-01-03,4704.81\n")
         series = load_series(p)
-        assert len(series) == 2
+        assert len(series.dates) == 2
         assert series.dates[0].isoformat() == "2024-01-02"
         np.testing.assert_array_equal(series.closes, [4742.83, 4704.81])
 
@@ -103,10 +103,9 @@ class TestExtractWindows:
         assert out.shape == (5, 21)
         np.testing.assert_array_equal(out[4], closes[4:] / closes[4])
 
-    def test_short_series_warns_and_is_empty(self):
-        with pytest.warns(UserWarning, match="shorter"):
-            out = extract_windows(np.ones(10), window_days=21)
-        assert out.shape == (0, 21)
+    def test_short_series_is_refused(self):
+        with pytest.raises(ValueError):
+            extract_windows(np.ones(10), window_days=21)
 
     def test_windows_already_normalized_are_stable(self):
         closes = np.exp(np.random.default_rng(0).normal(0, 0.01, 40).cumsum())
@@ -117,7 +116,7 @@ class TestExtractWindows:
     @given(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=60),
            st.integers(2, 30), st.integers(1, 7))
     def test_equals_the_window_loop(self, closes, window_days, stride):
-        assume(len(closes) >= window_days)  # shorter ones warn, above
+        assume(len(closes) >= window_days)  # shorter ones raise, above
         got = extract_windows(closes, window_days, stride)
         expected = _reference.extract_windows(closes, window_days, stride)
         assert got.shape == expected.shape

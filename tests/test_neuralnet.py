@@ -617,9 +617,13 @@ def _flatten(paths, flat):
     return paths
 
 
-# Every batch here has at most 45 rows, under GATHER_MIN_BATCH_ROWS, so
-# the backward takes its dense chain, zero rows and all; the gathered
-# chain is checked at larger shapes by _MINIBATCH_GRADIENT_CASES.
+# Batches of 1, 2 and 9 paths (5 to 45 rows) are under
+# GATHER_MIN_BATCH_ROWS, so the backward takes its dense chain, zero rows
+# and all; 16 paths are 80 rows, where a CVaR(0.7) tail of 5 paths takes
+# the gathered chain (the first example below) and ERM the dense one.
+# _MINIBATCH_GRADIENT_CASES checks both at larger shapes.
+@example(seed=4, lookback=True, batch=16, use_cvar=True, cost_rate=0.004,
+         dead_unit=1, flat=None, lam=3.0)
 # At-most-one-non-zero-row and all-zero cases: a one-path CVaR tail on
 # paths that move only at their last step, and on flat paths; ERM with
 # lambda large enough that exp underflows to 0 for all but the worst paths
@@ -635,7 +639,7 @@ def _flatten(paths, flat):
          dead_unit=0, flat=None, lam=3.0)
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 31 - 1), lookback=st.booleans(),
-       batch=st.sampled_from([1, 2, 9]), use_cvar=st.booleans(),
+       batch=st.sampled_from([1, 2, 9, 16]), use_cvar=st.booleans(),
        cost_rate=st.sampled_from([0.0, 0.004]),
        dead_unit=st.sampled_from([None, 0, 1, 2]),
        flat=st.sampled_from([None, "step", "but_last", "all"]),

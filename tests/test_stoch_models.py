@@ -1,7 +1,7 @@
 """Simulator moment oracles for per-step GBM and the QE-M Heston scheme.
 
 Closed forms used:
-  deterministic compounding  S_T = (1 + mu*dt)^n  when sigma ~ 0
+  deterministic compounding  S_T = (1 + mu*DT)^n  when sigma ~ 0
   CIR mean                   E[V_T] = theta + (V_0 - theta) e^{-kappa T}
   martingale property        E[S_T] = 1 at zero rates (both models)
 """
@@ -11,6 +11,7 @@ import pytest
 from scipy.special import ndtri
 
 from _reference import heston_paths_stepwise, qe_exp_moment, qe_variance_step
+from hedgelab.hedge_core import ANNUAL_DAYS
 from hedgelab.stoch_models import (DRAW_AHEAD, PSI_SWITCH, GbmParams,
                                    HestonParams, _qe_step, gbm_paths,
                                    heston_paths)
@@ -19,8 +20,6 @@ from hedgelab.stoch_models import (DRAW_AHEAD, PSI_SWITCH, GbmParams,
 def test_gbm_validation():
     with pytest.raises(ValueError):
         GbmParams(sigma=0.0)
-    with pytest.raises(ValueError):
-        GbmParams(dt=0.0)
     with pytest.raises(ValueError):
         GbmParams(n_steps=0)
     with pytest.raises(ValueError):
@@ -65,8 +64,9 @@ def test_gbm_determinism_and_shape():
 
 
 def test_gbm_redraw_counts_nonpositive_factors():
-    # enormous per-step vol forces price-crossing draws to be rejected
-    params = GbmParams(mu=0.0, sigma=8.0, dt=1.0 / 4.0, n_steps=10)
+    # enormous per-step vol (4 per one-day step) forces price-crossing
+    # draws to be rejected
+    params = GbmParams(mu=0.0, sigma=4.0 * ANNUAL_DAYS ** 0.5, n_steps=10)
     paths, regen = gbm_paths(params, 200, seed=3, return_regen_count=True)
     assert regen > 0
     assert np.all(paths > 0.0)
