@@ -369,12 +369,13 @@ def cmd_train(args, cfg, spec, measure, sim, out_dir) -> int:
 
 def cmd_price(args, cfg, spec, measure, sim, out_dir) -> int:
     seed = cfg["seed"]
+    # the eval set first: a bad eval.source fails before any training
+    paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
     if cfg["checkpoint"]:
         policy = _checkpoint_policy(cfg)
     else:
         policy, _ = _train_policy(cfg, spec, measure, sim, _train_seeds(seed),
                                   args.parallel)
-    paths, label = evaluation_paths(cfg, sim, _derive(seed, 4), args.parallel)
     price = _price_features(policy, features_matrix(paths, spec), paths,
                             payoff_batch(spec, paths), measure,
                             cfg["cost_rate"])

@@ -16,22 +16,25 @@ trade are rejected and reseeded by the batch runner.
 run_session is the one agent model, a flat, allocation-light loop: all
 random draws come from one per-session generator up front (agent
 parameters, fundamental walk, selection slots, noise matrix), the chart
-factor telescopes to one log difference, every order goes through
-Book.submit, and expire_orders runs at the open and at every step.  The
-touch is read from the book's heap tops, which are always live orders.
-tests/_reference.py holds a naive session on the brute-force RefBook
-that must reproduce its output bit for bit.
+factor telescopes to one log difference, and expire_orders runs at the
+open and at every step.  Preopen orders rest through Book.submit; in the
+continuous phase the loop matches and rests its one-unit orders on the
+book's heaps itself, since a call per order was most of a session's
+cost.  The touch is read from the heap tops, which are always live
+orders.  tests/_reference.py holds a naive session on the brute-force
+RefBook that must reproduce its output bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .lob import Book, expire_orders, uncross
+from .lob import Book, _pop_dead, expire_orders, uncross
 
 _INF = math.inf
 _EXP_CAP = 700.0  # math.exp overflows (raises) just above 709
@@ -199,14 +202,20 @@ def run_session(config: MarketConfig, population: AgentPopulation,
     lp_price = book.last_price
     lp = hist[-1]
 
+    # continuous phase: Book.submit's volume-1 path written out in the
+    # loop.  A marketable order takes one unit from the opposite top and
+    # pops it, with the dead entries beneath it, once it empties; any
+    # other order rests and is filed under its step's expiry bucket.
+    expiry = book._expiry
+    seq, oid = book._seq, book._next_id
     si = 0
     pool = list(range(n_agents))  # partial Fisher-Yates scratch
     for m in range(n_main):
         t = n_pre + m
-        book.step = t
         expire_orders(book, t)
         flog = fund_l[t]
         h = n_pre + m + 1  # observations so far: preopen track + opening + steps
+        rested = []  # filed under t + ttl after the step (ttl >= 1)
         for j in range(n_per):
             ridx = sel[si]
             noise_n = noise[si]
@@ -214,10 +223,6 @@ def run_session(config: MarketConfig, population: AgentPopulation,
             a = pool[ridx]
             pool[ridx] = pool[j]
             pool[j] = a
-            p_t = book.last_price
-            if p_t != lp_price:
-                lp_price = p_t
-                lp = log(p_t)
             tau = tau_l[a]
             win = tau if tau < h else h
             r = cf[a] * (flog - lp) + cc * (lp - hist[h - win]) / win + noise_n
@@ -228,22 +233,44 @@ def run_session(config: MarketConfig, population: AgentPopulation,
                 if x > _EXP_CAP:
                     continue
                 price = exp(x) * k_lo[a]
-                if asks and price > asks[0][0]:
-                    price = asks[0][0]
-                if 0.0 < price < _INF:
-                    n_trades += submit(True, price, ttl)
+                if asks and price >= asks[0][0]:  # buys one unit at the ask
+                    head = asks[0]
+                    lp_price = head[0]
+                    lp = log(lp_price)
+                    n_trades += 1
+                    oid += 1
+                    head[3] -= 1
+                    if not head[3]:
+                        heappop(asks)
+                        book._dead -= _pop_dead(asks)
+                elif 0.0 < price < _INF:
+                    entry = [-price, seq, oid, 1]
+                    heappush(bids, entry)
+                    rested.append(entry)
+                    seq += 1
+                    oid += 1
             else:
                 price = exp(lp + r * tau) * k_hi[a]
-                if bids and price < -bids[0][0]:
-                    price = -bids[0][0]
-                if 0.0 < price < _INF:
-                    n_trades += submit(False, price, ttl)
-        p_t = book.last_price
-        if p_t != lp_price:
-            lp_price = p_t
-            lp = log(p_t)
+                if bids and price <= -bids[0][0]:  # sells one unit at the bid
+                    head = bids[0]
+                    lp_price = -head[0]
+                    lp = log(lp_price)
+                    n_trades += 1
+                    oid += 1
+                    head[3] -= 1
+                    if not head[3]:
+                        heappop(bids)
+                        book._dead -= _pop_dead(bids)
+                elif 0.0 < price < _INF:
+                    entry = [price, seq, oid, 1]
+                    heappush(asks, entry)
+                    rested.append(entry)
+                    seq += 1
+                    oid += 1
+        if rested:
+            expiry[t + ttl] = rested
         hist.append(lp)
-        raw[m + 1] = p_t
+        raw[m + 1] = lp_price
     return SessionResult(raw, n_trades)
 
 

@@ -133,13 +133,13 @@ class Book:
 
     def submit(self, is_bid: bool, price: float, ttl: int,
                matching: bool = True) -> int:
-        """Fast path for session loops: volume-1 order, id auto-assigned,
-        no Fill records.
+        """Volume-1 order, id auto-assigned, no Fill records.
 
         Returns the traded volume; matching=False rests the order
-        unconditionally (preopen phase).
-        This is _match and _rest specialised to volume 1 and written out
-        inline, because every session order goes through it.
+        unconditionally.  Its callers are a session's preopen (which
+        rests through it) and the tests; a session's continuous phase
+        writes this logic out in its own loop.  This is _match and _rest
+        specialised to volume 1.
         """
         oid = self._next_id
         self._next_id = oid + 1

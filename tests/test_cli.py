@@ -15,7 +15,7 @@ import hedgelab
 from _reference import load_paths
 from hedgelab.cli import (CHOICES, DEFAULT_CONFIG, FLAGS, NULLABLE, RANGES,
                           config_hash, load_config, main)
-from hedgelab import neuralnet
+from hedgelab import cli, neuralnet
 from hedgelab.neuralnet import load_policy
 
 
@@ -222,6 +222,23 @@ class TestMainErrors:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"error ({command}): {src}: not enough rows for one window"]
+
+    def test_price_reads_eval_source_before_training(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # a bad eval.source is refused before the policy trains
+        src = tmp_path / "short.csv"
+        src.write_text("date,close\n" + "".join(
+            f"2024-01-{i + 1:02d},{1.0 + i / 100!r}\n" for i in range(10)))
+
+        def no_training(*args, **kwargs):
+            pytest.fail("price trained before reading eval.source")
+
+        monkeypatch.setattr(cli, "_train_policy", no_training)
+        cfg = _write_cfg(tmp_path, {"eval": {"source": str(src)}})
+        assert main(["price", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error (price): {src}: not enough rows for one window"]
 
     def test_every_checked_key_is_a_config_key(self):
         # a stale key would make every command exit 2 through KeyError

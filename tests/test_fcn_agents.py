@@ -11,6 +11,7 @@ from scipy import stats
 
 from _reference import (FcnAgent, build_agents, compute_factors,
                         decide_order, reference_session)
+from hedgelab import fcn_agents
 from hedgelab.fcn_agents import (AgentPopulation, MarketConfig, extract_paths,
                                  run_session, simulate_paths)
 from hedgelab.lob import Book, insert_order, Order
@@ -267,7 +268,8 @@ class TestRunSession:
            sigma=st.sampled_from([1e-4, 1e-3, 1e-2]),
            w_f=st.sampled_from([0.0, 1.0, 3.0]),
            w_c=st.sampled_from([0.0, 1.0, 3.0, 10.0]),
-           tau_max=st.integers(1, 30), k_max=st.sampled_from([0.0, 0.05, 0.2]),
+           tau_max=st.integers(1, 30),
+           k_max=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
            seed=st.integers(0, 2**16))
     # continuous-phase expiry: 27 trades, 46 orders expire after the open
     @example(n_agents=10, agents_per_step=5, extra_preopen=0, steps_per_day=10,
@@ -277,6 +279,28 @@ class TestRunSession:
     @example(n_agents=12, agents_per_step=10, extra_preopen=0, steps_per_day=8,
              days=2, order_ttl=None, sigma=1e-3, w_f=1.0, w_c=10.0,
              tau_max=10, k_max=0.0, seed=0)
+    # fills onto dead entries: 6 of 13 fills are buys that empty the ask
+    # head and pop the dead asks beneath it, 13 in all (a sell does so
+    # once in the first example, popping 2 dead bids)
+    @example(n_agents=7, agents_per_step=6, extra_preopen=10, steps_per_day=8,
+             days=2, order_ttl=8, sigma=1e-2, w_f=0.0, w_c=1.0, tau_max=8,
+             k_max=0.2, seed=38133)
+    # compaction after the open: the heaps are compacted at 11 of the 24
+    # continuous steps, around 96 resting orders and 24 fills
+    @example(n_agents=5, agents_per_step=5, extra_preopen=7, steps_per_day=8,
+             days=3, order_ttl=2, sigma=1e-2, w_f=1.0, w_c=3.0, tau_max=3,
+             k_max=0.0, seed=31679)
+    # order_ttl 9 under a 20-step preopen: 12 of the 20 preopen orders
+    # expire before the open, which still trades 3 units; 3 fills follow
+    @example(n_agents=11, agents_per_step=3, extra_preopen=9, steps_per_day=3,
+             days=1, order_ttl=9, sigma=1e-4, w_f=3.0, w_c=1.0, tau_max=26,
+             k_max=0.0, seed=59072)
+    # margins drawn up to 100%: 74 continuous orders rest, many far from
+    # the touch, and 10 fill; U[0, 1) never draws a margin of exactly 1,
+    # so no order prices at 0 here (test_unit_margin_bids_are_skipped)
+    @example(n_agents=6, agents_per_step=4, extra_preopen=5, steps_per_day=7,
+             days=3, order_ttl=11, sigma=1e-2, w_f=1.0, w_c=0.0, tau_max=22,
+             k_max=1.0, seed=21789)
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_session(self, n_agents, agents_per_step,
                                        extra_preopen, steps_per_day, days,
@@ -294,6 +318,55 @@ class TestRunSession:
         raw, n_trades = reference_session(config, pop, seed=seed)
         assert res.raw.tobytes() == raw.tobytes()
         assert res.n_trades == n_trades
+
+
+    def test_unit_margin_bids_are_skipped(self):
+        # k = 1 prices every bid at 0, so the preopen and the continuous
+        # phase skip them all; asks rest and nothing ever trades
+        config = _tiny_config()
+        pop = AgentPopulation(k_min=1.0, k_max=1.0)
+        res = run_session(config, pop, seed=0)
+        raw, n_trades = reference_session(config, pop, seed=0)
+        assert res.raw.tobytes() == raw.tobytes()
+        assert res.n_trades == n_trades == 0
+        assert np.all(res.raw == 1.0)
+
+    def test_continuous_orders_bypass_submit(self, monkeypatch):
+        # only preopen orders go through Book.submit; the continuous phase
+        # matches and rests on the heaps itself, and expiry still runs at
+        # the open and at every continuous step
+        calls = {"submit": 0, "expire": 0}
+        submit, expire = Book.submit, fcn_agents.expire_orders
+
+        def counted_submit(*args, **kwargs):
+            calls["submit"] += 1
+            return submit(*args, **kwargs)
+
+        def counted_expire(*args):
+            calls["expire"] += 1
+            return expire(*args)
+
+        monkeypatch.setattr(Book, "submit", counted_submit)
+        monkeypatch.setattr(fcn_agents, "expire_orders", counted_expire)
+        config = _tiny_config()
+        res = run_session(config, AgentPopulation(), seed=0)
+        assert res.n_trades > 0
+        assert 0 < calls["submit"] <= config.preopen_steps
+        assert calls["expire"] == 1 + config.days * config.steps_per_day
+
+    def test_market_paths_raw_series_pinned(self):
+        # the full step-by-step series of three sessions of the chartist
+        # market benchmarked as market-paths, recorded before the
+        # continuous phase stopped calling Book.submit
+        config = MarketConfig(agents_per_step=10, days=20)
+        pop = AgentPopulation(w_c=3.0, tau_star_min=50, tau_star_max=150,
+                              tau_min=1, tau_max=10)
+        digest = hashlib.sha256()
+        for i in range(3):
+            res = run_session(config, pop, seed=(3, i, 0))
+            digest.update(res.raw.tobytes())
+        assert digest.hexdigest() == (
+            "fc39eba27300d9a6a125358ff21dfa8ae277ee87aa91b52059bd60e3280ec90a")
 
 
 class TestExtractPaths:
