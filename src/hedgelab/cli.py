@@ -38,7 +38,7 @@ from .neuralnet import (MlpPolicy, _fan_out, _openblas_function,
 from .paths_io import save_paths
 from .risk import RiskMeasure
 from .stoch_models import GbmParams, HestonParams, gbm_paths, heston_paths
-from .tuner import STRATEGIES, SearchSpace, TrialFailed, run_study
+from .tuner import SearchSpace, TrialFailed, run_study
 
 ENV_PREFIX = "HEDGELAB__"
 # where a run writes without --out; not a config key, so not in manifests
@@ -65,7 +65,7 @@ DEFAULT_CONFIG = {
     "train": {"paths": 1000, "epochs": 10, "lr": 1e-3, "minibatch": 256,
               "val_split": 0.2},
     "eval": {"source": None, "n_paths": 1000, "stride": 1},
-    "tune": {"trials": 20, "strategy": "tpe_like"},
+    "tune": {"trials": 20},
     "stats": {"n_paths": 1000, "max_lag": 20, "bin_width": 0.5},
     "checkpoint": None,
 }
@@ -96,7 +96,7 @@ RANGES = {"seed": _NONNEGATIVE, "cost_rate": _NONNEGATIVE,
           "stats.max_lag": _COUNT, "stats.bin_width": _POSITIVE}
 GENERATORS = ("gbm", "heston", "market")
 # config key -> the values it accepts, checked by build_params
-CHOICES = {"generator": GENERATORS, "tune.strategy": STRATEGIES}
+CHOICES = {"generator": GENERATORS}
 
 
 # ---------------------------------------------------------------- config --
@@ -199,10 +199,9 @@ def build_params(cfg: dict):
     for key, choices in CHOICES.items():
         value = _lookup(cfg, key)
         if value not in choices:
-            names = ", ".join(repr(c) for c in choices if c is not None)
-            null = " or null" if None in choices else ""
-            raise ValueError(f"config key {key!r} must be one of {names}"
-                             f"{null}, got {value!r}")
+            names = ", ".join(repr(c) for c in choices)
+            raise ValueError(f"config key {key!r} must be one of {names}, "
+                             f"got {value!r}")
     spec = _build(OptionSpec, cfg["option"], "option")
     measure = _build(RiskMeasure, cfg["measure"], "measure")
     n_steps = spec.maturity_days
@@ -400,7 +399,7 @@ def cmd_tune(args, cfg, spec, measure, sim, out_dir) -> int:
     result = run_study(getattr(SearchSpace, cfg["generator"])(), tu["trials"],
                        tune_objective(cfg, spec, measure, eval_paths,
                                       args.parallel),
-                       identity, seed=cfg["seed"], strategy=tu["strategy"],
+                       identity, seed=cfg["seed"],
                        ledger_path=os.path.join(out_dir, "ledger.csv"),
                        best_path=os.path.join(out_dir, "best.json"))
     print(f"best trial {result.best.trial_id} "

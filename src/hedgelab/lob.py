@@ -138,32 +138,13 @@ class Book:
         Returns the traded volume; matching=False rests the order
         unconditionally.  Its callers are a session's preopen (which
         rests through it) and the tests; a session's continuous phase
-        writes this logic out in its own loop.  This is _match and _rest
-        specialised to volume 1.
+        writes this logic out in its own loop.
         """
         oid = self._next_id
         self._next_id = oid + 1
-        if is_bid:
-            opp = self.ask_heap
-            if matching and opp and opp[0][0] <= price:
-                self._match(True, price, 1, oid, None)
-                return 1
-            entry = [-price, self._seq, oid, 1]
-            heappush(self.bid_heap, entry)
-        else:
-            opp = self.bid_heap
-            if matching and opp and -opp[0][0] >= price:
-                self._match(False, price, 1, oid, None)
-                return 1
-            entry = [price, self._seq, oid, 1]
-            heappush(self.ask_heap, entry)
-        self._seq += 1
-        expires_at = self.step + ttl
-        bucket = self._expiry.get(expires_at)
-        if bucket is None:
-            self._expiry[expires_at] = [entry]
-        else:
-            bucket.append(entry)
+        if matching and not self._match(is_bid, price, 1, oid, None):
+            return 1
+        self._rest(is_bid, price, 1, oid, self.step + ttl)
         return 0
 
 

@@ -6,11 +6,8 @@ steps; market weights, vol decades, window bounds); paired keys carry
 ordering constraints (tau_star_min <= tau_star_max, tau_min <= tau_max,
 k_min <= k_max) enforced by rejection sampling.
 
-The sampler is TPE-flavored but purely categorical: rank finished trials
-by objective, call the top quartile "good", build per-key frequency
-tables with add-one smoothing, and draw each key proportionally to the
-good/bad frequency ratio.  The first 20 trials (and any history too thin
-to split) fall back to uniform sampling.
+Every trial is drawn uniformly, one grid position per key, so a trial's
+assignment depends on the study seed and its index alone.
 
 Each column of a space states the dotted config keys it sets (``mu``
 sets ``gbm.mu``; ``sigma_init`` sets ``heston.v0`` and ``heston.theta``
@@ -40,10 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fcn_agents import DegenerateSessionError
-
-STRATEGIES = ("random", "tpe_like")
-TPE_WARMUP = 20
-TPE_GOOD_FRACTION = 0.25
 
 
 def _steps(lo: float, hi: float, step: float) -> tuple:
@@ -144,56 +137,16 @@ class Trial:
     seed: int = 0
 
 
-def _constrained_draw(space: SearchSpace, draw_index) -> dict:
-    """Redraw whole assignments until one meets the constraints;
-    ``draw_index(key)`` picks one position on ``key``'s grid."""
+def sample_trial(space: SearchSpace, seed) -> dict:
+    """Draw one assignment uniformly over the grids, redrawn whole until
+    it meets the constraints."""
+    rng = np.random.default_rng(seed)
     for _ in range(100_000):
-        a = {k: space.grids[k][draw_index(k)] for k in space.keys()}
+        a = {k: space.grids[k][rng.integers(len(space.grids[k]))]
+             for k in space.keys()}
         if space.satisfies(a):
             return a
     raise RuntimeError("rejection sampling failed; constraints too tight")
-
-
-def _tpe_weights(space: SearchSpace, history):
-    """Per-key grid weights from the good/bad split of finished trials,
-    or None while the history is too thin to split."""
-    finished = [t for t in history if math.isfinite(t.objective)]
-    if len(history) < TPE_WARMUP or len(finished) < 4:
-        return None
-    finished = sorted(finished, key=lambda t: t.objective)
-    n_good = max(1, math.ceil(TPE_GOOD_FRACTION * len(finished)))
-    good, bad = finished[:n_good], finished[n_good:]
-    if not bad:
-        return None
-
-    weights = {}
-    for key in space.keys():
-        grid = space.grids[key]
-        g_counts = {v: 1.0 for v in grid}  # add-one smoothing
-        b_counts = {v: 1.0 for v in grid}
-        for t in good:
-            g_counts[t.assignment[key]] += 1.0
-        for t in bad:
-            b_counts[t.assignment[key]] += 1.0
-        g_tot = len(good) + len(grid)
-        b_tot = len(bad) + len(grid)
-        w = np.array([(g_counts[v] / g_tot) / (b_counts[v] / b_tot)
-                      for v in grid])
-        weights[key] = w / w.sum()
-    return weights
-
-
-def sample_trial(space: SearchSpace, strategy: str, history, seed) -> dict:
-    """Draw one constrained assignment; strategy 'random' or 'tpe_like'."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    weights = _tpe_weights(space, history) if strategy == "tpe_like" else None
-    if weights is None:
-        return _constrained_draw(
-            space, lambda k: rng.integers(len(space.grids[k])))
-    return _constrained_draw(
-        space, lambda k: rng.choice(len(space.grids[k]), p=weights[k]))
 
 
 class TrialFailed(ArithmeticError):
@@ -229,20 +182,18 @@ def read_ledger(path, space: SearchSpace) -> list:
     return trials
 
 
-def study_hash(space: SearchSpace, identity, seed: int,
-               strategy: str) -> str:
+def study_hash(space: SearchSpace, identity, seed: int) -> str:
     """Identity of a study's trial sequence and objectives: the seed,
-    the strategy, the space and the caller's ``identity`` of everything
-    its objective reads (any JSON-serializable value)."""
+    the space and the caller's ``identity`` of everything its objective
+    reads (any JSON-serializable value)."""
     blob = json.dumps({"seed": seed, "identity": identity,
-                       "strategy": strategy, "grids": space.grids,
+                       "grids": space.grids,
                        "constraints": space.constraints}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def run_study(space: SearchSpace, n_trials: int, objective, identity,
-              seed: int = 0, strategy: str = "tpe_like", ledger_path=None,
-              best_path=None) -> StudyResult:
+              seed: int = 0, ledger_path=None, best_path=None) -> StudyResult:
     """Sequential study; trial randomness keys off (seed, trial index) only,
     so reruns and resumed runs reproduce the same trial sequence.
     ``objective(space.settings(assignment), (seed, index))`` scores a
@@ -252,7 +203,7 @@ def run_study(space: SearchSpace, n_trials: int, objective, identity,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     keys = space.keys()
-    digest = study_hash(space, identity, seed, strategy)
+    digest = study_hash(space, identity, seed)
 
     trials = []
     if ledger_path and os.path.exists(ledger_path):
@@ -279,7 +230,7 @@ def run_study(space: SearchSpace, n_trials: int, objective, identity,
     for idx in range(len(trials), n_trials):
         ss = np.random.SeedSequence((seed, idx))
         sampler_seed = int(ss.generate_state(4)[3])
-        assignment = sample_trial(space, strategy, trials, sampler_seed)
+        assignment = sample_trial(space, sampler_seed)
         trial = Trial(idx, assignment, seed=sampler_seed)
         try:
             trial.objective = objective(space.settings(assignment),

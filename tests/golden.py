@@ -19,6 +19,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import yaml
@@ -117,8 +118,6 @@ def digests(workdir) -> dict:
 
 
 def main() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         record = {"host": host(), "digests": digests(tmp)}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -104,7 +104,7 @@ class TestLoadConfig:
         # the typed sections come from their dataclasses' defaults, in
         # field order; a moved or renamed field changes this hash
         cfg = load_config()
-        assert config_hash(cfg) == "7aeaf33047c9a5c1"
+        assert config_hash(cfg) == "e537815c183699a7"
         assert list(cfg["gbm"]) == ["mu", "sigma"]
 
 

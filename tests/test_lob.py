@@ -244,7 +244,11 @@ class TestExpiry:
 
 
 class TestStreamEquivalence:
-    def _run_stream(self, n_orders, seed, expire_every=17):
+    def _run_stream(self, n_orders, seed, expire_every=17, submit_unit=False):
+        """Engine and reference fed one order stream.  With ``submit_unit``
+        the volume-1 orders go through ``Book.submit``, which records no
+        fills: each one's traded volume is checked against the reference's
+        fills, which stay out of ``ref_fills``."""
         prices, is_bid, volumes, ttls = make_order_stream(n_orders, seed)
         book = Book()
         ref = RefBook()
@@ -257,24 +261,33 @@ class TestStreamEquivalence:
             if i % expire_every == 0:
                 expire_orders(book, now)
                 ref.expire(now)
-            order = Order(id=i, side="bid" if is_bid[i] else "ask",
-                          price=float(prices[i]), volume=int(volumes[i]),
-                          placed_at=now, expires_at=now + int(ttls[i]))
-            engine_fills.extend(insert_order(book, order))
-            ref_fills.extend(ref.insert(i, bool(is_bid[i]), float(prices[i]),
-                                        int(volumes[i]), int(ttls[i])))
+            side, price, ttl = bool(is_bid[i]), float(prices[i]), int(ttls[i])
+            ref_new = ref.insert(i, side, price, int(volumes[i]), ttl)
+            if submit_unit and volumes[i] == 1:
+                book._next_id = i  # the id insert_order gives order i
+                assert book.submit(side, price, ttl) == sum(
+                    f[2] for f in ref_new)
+            else:
+                order = Order(id=i, side="bid" if side else "ask",
+                              price=price, volume=int(volumes[i]),
+                              placed_at=now, expires_at=now + ttl)
+                engine_fills.extend(insert_order(book, order))
+                ref_fills.extend(ref_new)
+            assert book.last_price == ref.last_price
             bb, ba = book.best_bid, book.best_ask
             if bb is not None and ba is not None:
                 assert bb < ba, f"crossed book after order {i}"
         return book, ref, engine_fills, ref_fills
 
     def test_fill_sequences_identical(self):
-        book, ref, engine_fills, ref_fills = self._run_stream(20_000, seed=3)
-        assert [tuple(f) for f in engine_fills] == ref_fills
-        bids, asks = _resting(book)
-        rbids, rasks = ref.snapshot()
-        assert bids == rbids and asks == rasks
-        assert len(engine_fills) > 1000  # the stream must actually trade
+        for submit_unit in (False, True):
+            book, ref, engine_fills, ref_fills = self._run_stream(
+                20_000, seed=3, submit_unit=submit_unit)
+            assert [tuple(f) for f in engine_fills] == ref_fills
+            bids, asks = _resting(book)
+            rbids, rasks = ref.snapshot()
+            assert bids == rbids and asks == rasks
+            assert len(engine_fills) > 1000  # the stream must actually trade
 
     def test_conservation(self):
         book, ref, engine_fills, _ = self._run_stream(5_000, seed=11)
@@ -289,9 +302,11 @@ class TestStreamEquivalence:
         _, _, b, _ = self._run_stream(3_000, seed=5)
         assert a == b
 
-    @given(st.integers(0, 2**31 - 1))
+    @given(st.integers(0, 2**31 - 1), st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_equivalence_property(self, seed):
-        _, _, engine_fills, ref_fills = self._run_stream(600, seed=seed)
+    def test_equivalence_property(self, seed, submit_unit):
+        book, ref, engine_fills, ref_fills = self._run_stream(
+            600, seed=seed, submit_unit=submit_unit)
         assert [tuple(f) for f in engine_fills] == ref_fills
+        assert _resting(book) == ref.snapshot()
 

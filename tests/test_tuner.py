@@ -1,5 +1,6 @@
-"""Search spaces, constrained sampling, the TPE-flavored sampler, studies."""
+"""Search spaces, the uniform constrained sampler, studies."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from hedgelab.cli import (build_params, evaluation_paths, generate_paths,
                           load_config, trial_config, tune_objective)
 from hedgelab.instruments import OptionSpec
 from hedgelab.risk import RiskMeasure
-from hedgelab.tuner import (LR_GRID, SearchSpace, Trial, read_ledger,
-                            run_study, sample_trial)
+from hedgelab.tuner import (LR_GRID, SearchSpace, read_ledger, run_study,
+                            sample_trial)
 
 SPEC = OptionSpec("european_call", maturity_days=8)
 ERM1 = RiskMeasure("erm", lam=1.0)
@@ -118,64 +119,30 @@ class TestSampling:
     def test_singleton_space_is_fixed(self):
         space = SearchSpace({"a": (7,), "b": (0.5,)})
         for seed in range(5):
-            assert sample_trial(space, "random", [], seed) == {"a": 7,
-                                                               "b": 0.5}
+            assert sample_trial(space, seed) == {"a": 7, "b": 0.5}
 
     def test_constraints_hold_over_many_draws(self):
         space = SearchSpace.market()
         rng_seeds = np.random.SeedSequence(0).generate_state(10_000)
         for s in rng_seeds[:2000]:
-            a = sample_trial(space, "random", [], int(s))
+            a = sample_trial(space, int(s))
             assert a["tau_star_min"] <= a["tau_star_max"]
             assert a["tau_min"] <= a["tau_max"]
             assert a["k_min"] <= a["k_max"]
 
     def test_draws_deterministic_in_seed(self):
         space = SearchSpace.gbm()
-        assert (sample_trial(space, "tpe_like", [], 42)
-                == sample_trial(space, "tpe_like", [], 42))
-        draws = {tuple(sorted(sample_trial(space, "random", [], s).items()))
+        assert sample_trial(space, 42) == sample_trial(space, 42)
+        draws = {tuple(sorted(sample_trial(space, s).items()))
                  for s in range(30)}
         assert len(draws) > 1
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            sample_trial(SearchSpace.gbm(), "grid", [], 0)
-
-    def test_uniform_during_warmup(self):
-        # with fewer than TPE_WARMUP records the sampler ignores history
-        space = SearchSpace.gbm()
-        history = [Trial(i, {"lr": 1e-3, "mu": 0.0, "sigma": 0.05},
-                         objective=0.1, status="ok") for i in range(5)]
-        assert (sample_trial(space, "tpe_like", history, 7)
-                == sample_trial(space, "tpe_like", [], 7))
-
-    def test_tpe_shifts_mass_toward_good_values(self):
-        # craft a history where sigma=0.05 dominates the good quartile:
-        # afterwards the sampler must pick it far more often than uniform
-        space = SearchSpace.gbm()
-        history = []
-        for i in range(40):
-            good = i < 10
-            history.append(Trial(
-                i,
-                {"lr": 1e-3, "mu": 0.0,
-                 "sigma": 0.05 if good else float(space.grids["sigma"][1 + i % 9])},
-                objective=0.01 if good else 1.0 + i, status="ok"))
-        hits = sum(
-            sample_trial(space, "tpe_like", history, s)["sigma"] == 0.05
-            for s in range(200))
-        # uniform would give ~20/200; the ratio-weighted draw concentrates
-        assert hits > 80
-
-    def test_tpe_respects_constraints(self):
-        space = SearchSpace({"lo": (1, 2, 3), "hi": (1, 2, 3)},
-                            constraints=(("lo", "hi"),))
-        history = [Trial(i, {"lo": 1, "hi": 3}, objective=float(i), status="ok")
-                   for i in range(25)]
-        for s in range(200):
-            a = sample_trial(space, "tpe_like", history, s)
-            assert a["lo"] <= a["hi"]
+    def test_market_draws_pinned(self):
+        # sha256 of the first 200 seeds' assignments, as the former
+        # strategy="random" drew them
+        draws = [sample_trial(SearchSpace.market(), s) for s in range(200)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "29a71b258a0fe57dfa99f4b54b78bf2730a8da46b0a83efffbbad67401421b99")
 
 
 class TestSettings:
@@ -199,7 +166,7 @@ class TestSettings:
     def test_every_column_sets_a_key_of_the_config(self):
         for generator in ("gbm", "heston", "market"):
             space = getattr(SearchSpace, generator)()
-            a = sample_trial(space, "random", [], 0)
+            a = sample_trial(space, 0)
             for key in space.settings(a):
                 section, *rest = key.split(".")
                 assert section in ("train", generator), key
@@ -263,7 +230,7 @@ class TestTrialPaths:
         space = getattr(SearchSpace, generator)()
         cfg = _config(generator, maturity_days)
         for seed in range(n_draws):
-            a = sample_trial(space, "random", [], seed)
+            a = sample_trial(space, seed)
             expected = _reference.trial_paths(generator, a, maturity_days,
                                               n_paths, seed)
             got = _trial_paths(cfg, space.settings(a), n_paths, seed)
@@ -353,7 +320,7 @@ class TestEvaluate:
                                         minibatch=64)
         objective = tune_objective(cfg, spec, measure, eval_paths, 1)
         for draw in range(n_draws):
-            a = sample_trial(space, "random", [], draw)
+            a = sample_trial(space, draw)
 
             def by_hand(settings, n, seed, a=a):
                 return _reference.trial_paths(generator, a, maturity_days,
@@ -372,8 +339,7 @@ class TestStudy:
         assert res.best is res.trials[0]
 
     def test_study_smoke_and_ranking(self, tmp_path):
-        res = _study(n_trials=4, seed=1, strategy="random",
-                     ledger_path=tmp_path / "ledger.csv",
+        res = _study(n_trials=4, seed=1, ledger_path=tmp_path / "ledger.csv",
                      best_path=tmp_path / "best.json")
         assert len(res.trials) == 4
         objs = [t.objective for t in res.ranked]
@@ -384,8 +350,7 @@ class TestStudy:
     def test_ledger_round_trip_and_resume(self, tmp_path):
         space = SearchSpace.gbm()
         ledger = tmp_path / "ledger.csv"
-        first = _study(space, n_trials=3, seed=2, strategy="random",
-                       ledger_path=ledger)
+        first = _study(space, n_trials=3, seed=2, ledger_path=ledger)
         recorded = read_ledger(ledger, space)
         assert [t.trial_id for t in recorded] == [0, 1, 2]
         assert [t.assignment for t in recorded] == \
@@ -393,8 +358,7 @@ class TestStudy:
         assert [t.objective for t in recorded] == \
             [t.objective for t in first.trials]
 
-        resumed = _study(space, n_trials=5, seed=2, strategy="random",
-                         ledger_path=ledger)
+        resumed = _study(space, n_trials=5, seed=2, ledger_path=ledger)
         assert len(resumed.trials) == 5
         # the first three trials come back verbatim from the ledger
         assert [t.assignment for t in resumed.trials[:3]] == \
@@ -410,7 +374,7 @@ class TestStudy:
         eval_paths = _eval_paths(32, seed=99)
         ledger = tmp_path / "ledger.csv"
         first = _study(space, n_trials=6, cfg=cfg,
-                       eval_paths=eval_paths, seed=3, strategy="random",
+                       eval_paths=eval_paths, seed=3,
                        ledger_path=ledger)
         assert any(t.objective == math.inf for t in first.trials)
         recorded = read_ledger(ledger, space)
@@ -419,26 +383,23 @@ class TestStudy:
         assert [t.status for t in recorded] == \
             [t.status for t in first.trials]
         resumed = _study(space, n_trials=8, cfg=cfg,
-                         eval_paths=eval_paths, seed=3, strategy="random",
+                         eval_paths=eval_paths, seed=3,
                          ledger_path=ledger)
         assert len(resumed.trials) == 8
 
     def test_ledger_of_another_study_refused(self, tmp_path):
         space = SearchSpace.gbm()
         ledger = tmp_path / "ledger.csv"
-        _study(space, n_trials=1, seed=2, strategy="random",
-               ledger_path=ledger)
+        _study(space, n_trials=1, seed=2, ledger_path=ledger)
         cvar = _tiny()
         cvar["measure"].update(kind="cvar", alpha=0.9)
         with pytest.raises(ValueError, match="belongs to study"):
-            _study(space, n_trials=2, cfg=cvar, seed=2, strategy="random",
-                   ledger_path=ledger)
+            _study(space, n_trials=2, cfg=cvar, seed=2, ledger_path=ledger)
         # a ledger that records no study hash cannot be checked, so it
         # is not resumed either
         (tmp_path / "ledger.csv.json").unlink()
         with pytest.raises(ValueError, match="study None"):
-            _study(space, n_trials=2, seed=2, strategy="random",
-                   ledger_path=ledger)
+            _study(space, n_trials=2, seed=2, ledger_path=ledger)
         assert len(read_ledger(ledger, space)) == 1
 
     def test_ledger_header_mismatch(self, tmp_path):
@@ -453,8 +414,7 @@ class TestStudy:
         # not abort the study and must sort behind every finished trial
         res = _study(OVERFLOWING_SPACE, n_trials=6,
                      cfg=_tiny(paths=32),
-                     eval_paths=_eval_paths(32, seed=99), seed=3,
-                     strategy="random")
+                     eval_paths=_eval_paths(32, seed=99), seed=3)
         statuses = [t.status for t in res.trials]
         assert "ok" in statuses and "failed" in statuses
         for t in res.trials:
@@ -467,10 +427,8 @@ class TestStudy:
 
     def test_rerun_reproduces_sequence(self):
         cfg = _tiny(paths=32)
-        a = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32),
-                   seed=4, strategy="random")
-        b = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32),
-                   seed=4, strategy="random")
+        a = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32), seed=4)
+        b = _study(n_trials=3, cfg=cfg, eval_paths=_eval_paths(32), seed=4)
         assert [t.assignment for t in a.trials] == \
             [t.assignment for t in b.trials]
         assert [t.objective for t in a.trials] == \
